@@ -1,5 +1,5 @@
 // Microbenchmarks of the primitives everything else is built on: the XOR
-// kernel behind the parity policies, CRC32, wire encode/decode, the page
+// kernel behind the parity policies, CRC-32C, wire encode/decode, the page
 // pattern generator, and the hot VM/server paths.
 
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 #include "src/server/memory_server.h"
 #include "src/util/bytes.h"
 #include "src/util/checksum.h"
+#include "src/util/checksum_internal.h"
 #include "src/vm/paged_vm.h"
 
 namespace rmp {
@@ -27,15 +28,26 @@ void BM_XorPage(benchmark::State& state) {
 }
 BENCHMARK(BM_XorPage);
 
-void BM_Crc32Page(benchmark::State& state) {
+void BM_Crc32cPage(benchmark::State& state) {
   PageBuffer page;
   FillPattern(page.span(), 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(page.span()));
+    benchmark::DoNotOptimize(Crc32c(page.span()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
 }
-BENCHMARK(BM_Crc32Page);
+BENCHMARK(BM_Crc32cPage);
+
+// The slice-by-8 fallback Crc32c uses on CPUs without SSE4.2 and PCLMUL.
+void BM_Crc32cPageSoftware(benchmark::State& state) {
+  PageBuffer page;
+  FillPattern(page.span(), 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum_internal::Crc32cSoftware(0xffffffffu, page.span()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_Crc32cPageSoftware);
 
 void BM_FillPattern(benchmark::State& state) {
   PageBuffer page;

@@ -3,8 +3,9 @@
 #
 # Builds the tree under ASan+UBSan (RMP_SANITIZE=address enables both, see the
 # top-level CMakeLists.txt) and runs the `faults_smoke` and `repair_smoke`
-# ctest labels — the fault-injection, crash-recovery, wire-fuzz, and
-# self-healing (health/repair) suites — so every injected interleaving is
+# ctest labels — the fault-injection, crash-recovery, wire-fuzz, wire codec,
+# checksum, and self-healing (health/repair) suites — so every injected
+# interleaving, and the CRC-32C kernel's unaligned loads and tail handling, is
 # also exercised for memory and UB errors, not just for byte-identical
 # recovery. This complements the existing RMP_SANITIZE=thread
 # configuration that gates the pipelined transport's sender/receiver threads.

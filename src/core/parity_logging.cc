@@ -76,6 +76,7 @@ Result<size_t> ParityLoggingBackend::PickDataPeer(TimeNs* now) {
 }
 
 void ParityLoggingBackend::RetireOldVersion(uint64_t page_id, TimeNs* now) {
+  unplaced_.erase(page_id);
   auto it = table_.find(page_id);
   if (it == table_.end()) {
     return;
@@ -249,7 +250,10 @@ Status ParityLoggingBackend::PlacePage(uint64_t page_id, std::span<const uint8_t
       return advise.status();
     }
     *now = ChargePageTransferAsync(*now, peer_index);
-    if (*advise) {
+    if (*advise && !in_gc_) {
+      // GC has just overridden this advice (reopen_servers: any free page
+      // is fair game) and must not stall on it part-way through
+      // re-placement; the first pageout after GC re-asserts it.
       peer.set_no_new_extents(true);
     }
     accumulator_.XorWith(data);
@@ -263,6 +267,22 @@ Status ParityLoggingBackend::PlacePage(uint64_t page_id, std::span<const uint8_t
     return OkStatus();
   }
   return NoSpaceError("remote memory exhausted (consider more overflow memory)");
+}
+
+Status ParityLoggingBackend::PlaceOrHold(std::vector<std::pair<uint64_t, PageBuffer>>* stash,
+                                         TimeNs* now) {
+  Status result = OkStatus();
+  for (auto& [page_id, page] : *stash) {
+    if (result.ok()) {
+      result = PlacePage(page_id, page.span(), now);
+    }
+    // A page whose placement landed before a later step failed (the parity
+    // flush) is already in table_.
+    if (!result.ok() && table_.count(page_id) == 0) {
+      unplaced_.insert_or_assign(page_id, std::move(page));
+    }
+  }
+  return result;
 }
 
 Result<TimeNs> ParityLoggingBackend::PageOut(TimeNs now, uint64_t page_id,
@@ -282,6 +302,11 @@ Result<TimeNs> ParityLoggingBackend::PageOut(TimeNs now, uint64_t page_id,
 
 Result<TimeNs> ParityLoggingBackend::PageIn(TimeNs now, uint64_t page_id,
                                             std::span<uint8_t> out) {
+  if (auto held = unplaced_.find(page_id); held != unplaced_.end()) {
+    ++stats_.pageins;
+    std::copy(held->second.span().begin(), held->second.span().end(), out.begin());
+    return now;
+  }
   auto it = table_.find(page_id);
   if (it == table_.end()) {
     return NotFoundError("page " + std::to_string(page_id) + " was never paged out");
@@ -390,12 +415,22 @@ Status ParityLoggingBackend::GarbageCollect(TimeNs* now) {
       }
     }
   }
-  std::vector<PageBuffer> stash;
-  const Status fetched = BatchFetch(wants, &stash, now);
-  if (!fetched.ok()) {
+  std::vector<PageBuffer> fetched;
+  const Status fetch_status = BatchFetch(wants, &fetched, now);
+  if (!fetch_status.ok()) {
     in_gc_ = false;
-    return fetched;
+    return fetch_status;
   }
+  // Pages an earlier pass could not place ride along with this pass's.
+  std::vector<std::pair<uint64_t, PageBuffer>> stash;
+  stash.reserve(stash_ids.size() + unplaced_.size());
+  for (size_t i = 0; i < stash_ids.size(); ++i) {
+    stash.emplace_back(stash_ids[i], std::move(fetched[i]));
+  }
+  for (auto& [page_id, page] : unplaced_) {
+    stash.emplace_back(page_id, std::move(page));
+  }
+  unplaced_.clear();
 
   // Reclaim every victim *before* re-placing, so their slots provide the
   // very space the re-placement needs (the way out of the full-cluster
@@ -417,14 +452,7 @@ Status ParityLoggingBackend::GarbageCollect(TimeNs* now) {
   }
   reopen_servers();
 
-  Status result = OkStatus();
-  for (size_t i = 0; i < stash_ids.size(); ++i) {
-    const Status placed = PlacePage(stash_ids[i], stash[i].span(), now);
-    if (!placed.ok()) {
-      result = placed;
-      break;
-    }
-  }
+  const Status result = PlaceOrHold(&stash, now);
   in_gc_ = false;
   if (result.ok() && freed == 0) {
     return NoSpaceError("garbage collection found nothing to reclaim");
@@ -681,9 +709,7 @@ Result<uint64_t> ParityLoggingBackend::RecoverDataChunk(size_t peer_index, uint6
     accumulator_.Clear();
   }
   // Re-home every rescued page through the normal pageout path.
-  for (auto& [page_id, page] : stash) {
-    RMP_RETURN_IF_ERROR(PlacePage(page_id, page.span(), now));
-  }
+  RMP_RETURN_IF_ERROR(PlaceOrHold(&stash, now));
   RMP_LOG(kInfo) << "parity logging: recovered from crash of peer " << peer_index << ", re-homed "
                  << stash.size() << " pages across " << affected.size() << " groups";
   return budget_used;
@@ -794,6 +820,11 @@ Status ParityLoggingBackend::CheckInvariants() const {
     const GroupEntry& entry = git->second.entries[loc.entry_index];
     if (entry.page_id != page_id || !entry.active) {
       return InternalError("table mapping stale for page " + std::to_string(page_id));
+    }
+  }
+  for (const auto& [page_id, page] : unplaced_) {
+    if (table_.count(page_id) != 0) {
+      return InternalError("page " + std::to_string(page_id) + " both placed and held");
     }
   }
   return OkStatus();

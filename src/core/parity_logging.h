@@ -101,6 +101,8 @@ class ParityLoggingBackend final : public RemotePagerBase {
   int64_t gc_passes() const { return gc_passes_; }
   int64_t parity_flushes() const { return parity_flushes_; }
   int64_t live_groups() const { return static_cast<int64_t>(groups_.size()); }
+  // Pages held in client memory because re-placement failed (see unplaced_).
+  size_t unplaced_pages() const { return unplaced_.size(); }
 
   // Client-side structural invariants; returns the first violation found.
   Status CheckInvariants() const;
@@ -133,6 +135,11 @@ class ParityLoggingBackend final : public RemotePagerBase {
   // into the open group + accumulator. The core pageout step, shared with GC
   // and recovery re-placement.
   Status PlacePage(uint64_t page_id, std::span<const uint8_t> data, TimeNs* now);
+
+  // Re-homes pages GC or recovery took off their dissolved groups. After
+  // the first placement error the remaining pages go to unplaced_ instead
+  // of being dropped; returns that error.
+  Status PlaceOrHold(std::vector<std::pair<uint64_t, PageBuffer>>* stash, TimeNs* now);
 
   // Ships the accumulator to the parity server and seals the open group.
   // The write is issued pipelined: over a real transport it stays in flight
@@ -167,6 +174,11 @@ class ParityLoggingBackend final : public RemotePagerBase {
   uint64_t next_group_id_ = 1;
   PageBuffer accumulator_;
   std::unordered_map<uint64_t, PageLocation> table_;
+  // Pages that lost their group and could not be placed again (every data
+  // server refused). They live only in client memory, like the open group's
+  // accumulator: PageIn serves them from here, a newer PageOut retires them,
+  // and the next GC pass re-places them. Disjoint from table_.
+  std::unordered_map<uint64_t, PageBuffer> unplaced_;
 
   int64_t groups_reclaimed_ = 0;
   int64_t gc_passes_ = 0;

@@ -137,7 +137,7 @@ bool Message::operator==(const Message& other) const {
 }
 
 uint32_t PayloadCrc(std::span<const uint8_t> payload) {
-  return payload.empty() ? 0 : Crc32(payload);
+  return Crc32c(payload);
 }
 
 void EncodeHeader(const Message& message, uint32_t payload_crc, uint8_t* out) {

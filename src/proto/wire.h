@@ -22,7 +22,7 @@
 //                    precedent tenant_id set for the reserved u16. Requests
 //                    without the flag leave it zero, so legacy frames decode
 //                    unchanged.
-//   payload_crc u32  CRC32 of payload (0 when empty)
+//   payload_crc u32  CRC-32C of payload (0 when empty; header not covered)
 //   payload_len u32
 //   payload    payload_len bytes
 
@@ -202,7 +202,7 @@ Result<WireHeader> DecodeHeader(std::span<const uint8_t> prefix);
 // Expands header fields into a Message with an empty payload.
 Message MessageFromHeader(const WireHeader& header);
 
-// The CRC as computed for the wire: CRC32 of the payload, 0 when empty.
+// The CRC as computed for the wire: CRC-32C of the payload, 0 when empty.
 uint32_t PayloadCrc(std::span<const uint8_t> payload);
 
 // Serializes `message`, computing the payload CRC.

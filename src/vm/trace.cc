@@ -10,7 +10,8 @@ namespace rmp {
 namespace {
 
 constexpr uint32_t kTraceMagic = 0x54504d52;  // "RMPT"
-constexpr uint32_t kTraceVersion = 1;
+// Version 2 seals the events with CRC-32C; version 1 used IEEE CRC32.
+constexpr uint32_t kTraceVersion = 2;
 
 // RAII stdio handle.
 struct File {
@@ -53,7 +54,7 @@ Status AccessTrace::Save(const std::string& path) const {
   const uint64_t count = events_.size();
   const auto events_bytes = std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(events_.data()), count * sizeof(uint64_t));
-  const uint32_t crc = Crc32(events_bytes);
+  const uint32_t crc = Crc32c(events_bytes);
   if (std::fwrite(&kTraceMagic, sizeof(kTraceMagic), 1, file.f) != 1 ||
       std::fwrite(&kTraceVersion, sizeof(kTraceVersion), 1, file.f) != 1 ||
       std::fwrite(&count, sizeof(count), 1, file.f) != 1 ||
@@ -94,7 +95,7 @@ Result<AccessTrace> AccessTrace::Load(const std::string& path) {
   }
   const auto events_bytes = std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(trace.events_.data()), count * sizeof(uint64_t));
-  if (Crc32(events_bytes) != stored_crc) {
+  if (Crc32c(events_bytes) != stored_crc) {
     return CorruptionError("trace checksum mismatch: " + path);
   }
   return trace;

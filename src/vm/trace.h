@@ -9,10 +9,11 @@
 //
 // File format (little-endian):
 //   magic   u32  'RMPT'
-//   version u32  1
+//   version u32  2       (version 1 files, sealed with IEEE CRC32, are
+//                        refused as an unsupported version)
 //   count   u64
 //   events  count x u64   (bit 63 = write, bits 62..0 = virtual page)
-//   crc32   u32            (over the events)
+//   crc32c  u32            (CRC-32C over the events)
 
 #ifndef SRC_VM_TRACE_H_
 #define SRC_VM_TRACE_H_

@@ -82,6 +82,27 @@ TEST(TraceTest, CorruptFileDetected) {
   std::remove(path.c_str());
 }
 
+TEST(TraceTest, VersionOneFileIsRefusedByVersionNotChecksum) {
+  // Version 1 sealed the events with IEEE CRC32. Such a file must fail on
+  // its version field, not as a checksum mismatch against CRC-32C.
+  AccessTrace trace;
+  trace.Add(5, true);
+  const std::string path = TempTracePath("v1");
+  ASSERT_TRUE(trace.Save(path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  const uint32_t v1 = 1;
+  std::fseek(f, 4, SEEK_SET);  // The version follows the 4-byte magic.
+  ASSERT_EQ(std::fwrite(&v1, sizeof(v1), 1, f), 1u);
+  std::fclose(f);
+  auto loaded = AccessTrace::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kProtocol);
+  EXPECT_NE(loaded.status().ToString().find("unsupported trace version 1"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, TruncatedFileDetected) {
   AccessTrace trace;
   for (int i = 0; i < 10; ++i) {

@@ -129,6 +129,29 @@ TEST(WireFuzzTest, CorruptPayloadFailsTheCrc) {
   EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
 }
 
+TEST(WireFuzzTest, EverySingleBitFlipOfAPagePayloadIsRejected) {
+  // CRC-32C detects every single-bit error, so no flip anywhere in the 8 KB
+  // payload may reach the caller — through Decode or through the stream
+  // reader the reactor and SendFrame/ReadFrame paths share.
+  std::vector<uint8_t> bytes = Encode(SamplePageOut());
+  ASSERT_EQ(bytes.size(), kWirePrefixSize + kPageSize);
+  FrameReader reader;
+  for (size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    uint8_t& target = bytes[kWirePrefixSize + bit / 8];
+    target ^= static_cast<uint8_t>(1u << (bit % 8));
+    auto decoded = Decode(bytes);
+    ASSERT_FALSE(decoded.ok()) << "flip of payload bit " << bit << " decoded";
+    ASSERT_EQ(decoded.status().code(), ErrorCode::kCorruption) << "bit " << bit;
+    reader.Feed(bytes);
+    auto streamed = reader.Next();
+    ASSERT_FALSE(streamed.ok()) << "flip of payload bit " << bit << " streamed";
+    ASSERT_EQ(streamed.status().code(), ErrorCode::kCorruption) << "bit " << bit;
+    ASSERT_EQ(reader.buffered_bytes(), 0u);  // The bad frame was consumed.
+    target ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+  EXPECT_TRUE(Decode(bytes).ok());
+}
+
 TEST(WireFuzzTest, UnknownMessageTypeIsAProtocolError) {
   std::vector<uint8_t> bytes = Encode(MakeLoadQuery(1));
   bytes[4] = 0xee;  // The type byte follows the 4-byte magic.
