@@ -222,14 +222,8 @@ void BenchBatchedPageouts(bool quick) {
     params.name = "tcp-bench";
     params.capacity_pages = kWireSlots + 16;
     auto server = std::make_shared<MemoryServer>(params);
-    struct Handler : MessageHandler {
-      explicit Handler(std::shared_ptr<MemoryServer> s) : server(std::move(s)) {}
-      Message Handle(const Message& request) override { return server->Handle(request); }
-      std::shared_ptr<MemoryServer> server;
-    };
-    auto started = TcpServer::Start(
-        0, [server] { return std::unique_ptr<MessageHandler>(new Handler(server)); },
-        /*required_token=*/"", /*session_workers=*/4);
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server),
+                                    /*required_token=*/"", /*session_workers=*/4);
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n", started.status().ToString().c_str());
       std::exit(1);

@@ -80,12 +80,6 @@ uint64_t AllocSlots(Transport* transport) {
   return alloc->slot;
 }
 
-struct Handler : MessageHandler {
-  explicit Handler(std::shared_ptr<MemoryServer> s) : server(std::move(s)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 struct ScenarioResult {
   double victim_pages_per_sec = 0;
   double victim_p50_us = 0;
@@ -111,9 +105,7 @@ ScenarioResult RunScenario(const Scenario& scenario, double measure_seconds) {
   auto server = std::make_shared<MemoryServer>(params);
   TcpServerOptions options = scenario.options;
   options.service_workers = kServiceWorkers;
-  auto started = TcpServer::Start(
-      0, [server] { return std::unique_ptr<MessageHandler>(new Handler(server)); },
-      options);
+  auto started = TcpServer::Start(0, TcpServer::ForwardTo(server), options);
   if (!started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", started.status().ToString().c_str());
     std::exit(1);

@@ -193,12 +193,6 @@ void RunMultiSession(uint16_t port, MemoryServer* server, int sessions, int per_
   EmitBenchResult("transport", config, "p99_latency", row.p99_us, "us");
 }
 
-struct Handler : MessageHandler {
-  explicit Handler(std::shared_ptr<MemoryServer> s) : server(std::move(s)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 int Main() {
   const int depths[] = {0, 1, 4, 16};  // 0 == blocking Call().
 
@@ -219,9 +213,8 @@ int Main() {
     params.name = "tcp-bench";
     params.capacity_pages = kSlots + 16;
     auto server = std::make_shared<MemoryServer>(params);
-    auto started = TcpServer::Start(
-        0, [server] { return std::unique_ptr<MessageHandler>(new Handler(server)); },
-        /*required_token=*/"", /*session_workers=*/16);
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server),
+                                    /*required_token=*/"", /*session_workers=*/16);
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n", started.status().ToString().c_str());
       return 1;
@@ -265,9 +258,8 @@ int Main() {
     params.name = "tcp-multi-bench";
     params.capacity_pages = kSlots * (kSessions + 1);
     auto server = std::make_shared<MemoryServer>(params);
-    auto started = TcpServer::Start(
-        0, [server] { return std::unique_ptr<MessageHandler>(new Handler(server)); },
-        /*required_token=*/"", /*session_workers=*/16);
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server),
+                                    /*required_token=*/"", /*session_workers=*/16);
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n", started.status().ToString().c_str());
       return 1;

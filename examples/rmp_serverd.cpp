@@ -28,12 +28,6 @@
 namespace rmp {
 namespace {
 
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server) : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 int Main(int argc, char** argv) {
   Config config;
   if (argc > 1) {
@@ -65,7 +59,7 @@ int Main(int argc, char** argv) {
 
   auto listener = TcpServer::Start(
       static_cast<uint16_t>(*port),
-      [server] { return std::unique_ptr<MessageHandler>(new ForwardingHandler(server)); },
+      TcpServer::ForwardTo(server),
       config.GetString("auth_token", ""));
   if (!listener.ok()) {
     std::fprintf(stderr, "listen: %s\n", listener.status().ToString().c_str());

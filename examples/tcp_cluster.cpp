@@ -24,12 +24,6 @@ struct ServerNode {
   std::unique_ptr<TcpServer> listener;
 };
 
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server) : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 int Main() {
   constexpr int kServers = 5;  // 4 data + 1 parity.
   constexpr uint64_t kPages = 400;
@@ -44,9 +38,7 @@ int Main() {
     params.name = "ws" + std::to_string(i);
     params.capacity_pages = 1024;
     node.server = std::make_shared<MemoryServer>(params);
-    auto listener = TcpServer::Start(0, [server = node.server] {
-      return std::unique_ptr<MessageHandler>(new ForwardingHandler(server));
-    });
+    auto listener = TcpServer::Start(0, TcpServer::ForwardTo(node.server));
     if (!listener.ok()) {
       std::fprintf(stderr, "listen: %s\n", listener.status().ToString().c_str());
       return 1;

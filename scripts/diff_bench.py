@@ -12,8 +12,9 @@ Usage:
     scripts/diff_bench.py --help
 
 Rows are keyed by (bench, config, metric). For latency-like units (ms, s,
-ns, us) bigger is worse; for throughput-like units (pages_per_sec, mbps,
-ops_per_sec, per_sec) smaller is worse. A row whose worse-direction change
+ns, us) and for percentages (%, e.g. trace_overhead's overhead_pct) bigger
+is worse; for throughput-like units (pages_per_sec, mbps, ops_per_sec,
+per_sec) smaller is worse. A row whose worse-direction change
 exceeds the threshold (percent, default 10) is flagged as a REGRESSION and
 the exit status is 1; improvements and small drifts are reported but pass.
 Rows present in only one file are listed as added/removed and do not fail
@@ -24,8 +25,9 @@ import argparse
 import json
 import sys
 
-# Units where a larger value means slower/worse.
-LATENCY_UNITS = {"ms", "s", "ns", "us", "seconds"}
+# Units where a larger value means slower/worse. The only "%" rows are
+# overheads, where a larger share is worse too.
+LOWER_IS_BETTER_UNITS = {"ms", "s", "ns", "us", "seconds", "%"}
 
 
 def load(path):
@@ -60,8 +62,8 @@ def worse_direction_change(base, cand, unit):
     if base == 0.0:
         return 0.0 if cand == 0.0 else float("inf")
     change = (cand - base) / abs(base) * 100.0
-    if unit.lower() in LATENCY_UNITS:
-        return change  # Bigger latency is worse.
+    if unit.lower() in LOWER_IS_BETTER_UNITS:
+        return change  # Bigger latency or overhead is worse.
     return -change  # Smaller throughput is worse.
 
 

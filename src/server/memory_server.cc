@@ -1380,7 +1380,26 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
   return true;
 }
 
+bool MemoryServer::CouldSleep(const Message& request) const {
+  if (params_.store_service_micros > 0 || disk_ != nullptr) {
+    return true;
+  }
+  if (!has_slot_delays_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return slot_delays_micros_.count(request.slot) > 0;
+}
+
 Message MemoryServer::Handle(const Message& request) {
+  // Run to completion (DESIGN.md §13): on a transport loop thread, a request
+  // that could sleep is handed back untouched — before any span, admission
+  // token or store access — and the transport queues it for a worker.
+  InlineService& inline_service = InlineServiceFlags();
+  if (inline_service.active && CouldSleep(request)) {
+    inline_service.declined = true;
+    return Message();
+  }
   // Trace shim (DESIGN.md §17). Requests without a wire trace id — legacy
   // frames, sampled-out operations, tracing off — pay exactly one flag test
   // and fall through to the pre-§17 path.

@@ -466,6 +466,11 @@ class MemoryServer : public MessageHandler {
   // Credits quota rows and splits/erases ownership runs for a freed range.
   // control_mutex_ held.
   void ReleaseTenantRunsLocked(uint64_t first_slot, uint64_t pages);
+  // True when serving `request` could put the thread to sleep: an emulated
+  // store service time, a SetSlotDelayForTest delay on its slot, or a spill
+  // DiskStore behind the cold tier. Such requests decline inline service on
+  // a transport loop thread (InlineService, transport.h).
+  bool CouldSleep(const Message& request) const;
   // The untenanted dispatch switch; Handle wraps it with tenant admission.
   Message HandleInternal(const Message& request);
   // Tenant admission + dispatch (the whole pre-§17 Handle). Handle itself is

@@ -462,6 +462,7 @@ void ReactorConnection::HandleReadable() {
     const ssize_t n = ::recv(fd_.get(), lease.data(), lease.size(), 0);
     if (n > 0) {
       Metrics().bytes_received.Increment(n);
+      const bool read_full = static_cast<size_t>(n) == lease.size();
       std::span<const uint8_t> chunk(lease.data(), static_cast<size_t>(n));
       // Resume a partial frame through the buffering FrameReader first; its
       // hostile-length check (payload_len bound before any buffering) is the
@@ -480,7 +481,7 @@ void ReactorConnection::HandleReadable() {
             return;
           }
           Metrics().frames_received.Increment();
-          sink_->OnFrame(std::move(*frame));
+          sink_->OnFrame(std::move(*frame), read_full || reader_.buffered_bytes() > 0);
           if (closed_on_loop_) {
             return;  // The sink closed us mid-batch.
           }
@@ -509,7 +510,7 @@ void ReactorConnection::HandleReadable() {
           return;
         }
         Metrics().frames_received.Increment();
-        sink_->OnFrame(std::move(frame));
+        sink_->OnFrame(std::move(frame), read_full || chunk.size() > total);
         if (closed_on_loop_) {
           return;
         }
@@ -518,7 +519,7 @@ void ReactorConnection::HandleReadable() {
       if (!chunk.empty()) {
         reader_.Feed(chunk);
       }
-      if (static_cast<size_t>(n) < lease.size() && !loop_->options_.edge_triggered) {
+      if (!read_full && !loop_->options_.edge_triggered) {
         return;  // Likely drained; level-triggered poll re-fires otherwise.
       }
       continue;

@@ -29,8 +29,11 @@
 // Threading contract: OnOpen/OnFrame/OnClose fire on the connection's loop
 // thread, never concurrently with each other. Send/Close are safe from any
 // thread. Loop threads never block on user work — anything that can block
-// (request service, disk) belongs on the FairShareScheduler's workers
-// (scheduler.h), not in a FrameSink callback.
+// (a service delay, disk) belongs on the FairShareScheduler's workers
+// (scheduler.h), not in a FrameSink callback. A sink may run short,
+// non-blocking work to completion on the loop (TcpServer does when its
+// scheduler is idle); OnFrame's `more` flag tells it when a burst is still
+// being decoded, so it can queue instead and let the burst spread.
 
 #ifndef SRC_TRANSPORT_REACTOR_H_
 #define SRC_TRANSPORT_REACTOR_H_
@@ -186,7 +189,9 @@ class FrameSink {
   virtual ~FrameSink() = default;
   // Fired once, before any OnFrame, when the connection is registered.
   virtual void OnOpen(const std::shared_ptr<ReactorConnection>& conn) { (void)conn; }
-  virtual void OnFrame(Message frame) = 0;
+  // `more` is true when bytes of another frame follow this one in the same
+  // read (or the read filled the scratch buffer, so more are waiting).
+  virtual void OnFrame(Message frame, bool more) = 0;
   // Fired exactly once; after it returns the sink is released by the loop.
   virtual void OnClose(const Status& reason) = 0;
 };

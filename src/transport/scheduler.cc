@@ -173,7 +173,23 @@ FairShareScheduler::TenantQueue* FairShareScheduler::TenantQueueLocked(uint16_t 
   return tenants_.back().get();
 }
 
-FairShareScheduler::~FairShareScheduler() { Stop(); }
+FairShareScheduler::~FairShareScheduler() {
+  Stop();
+  // A queued Item holds its Session, whose lane holds the Item: drop the
+  // queues of sessions the owner never removed, or the cycle leaks them.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& tenant : tenants_) {
+    for (auto& ring : tenant->rings) {
+      for (RingEntry& entry : ring) {
+        for (Lane& lane : entry.session->lanes) {
+          lane.queue.clear();
+        }
+      }
+      ring.clear();
+    }
+  }
+  queued_gauge_.Add(-total_queued_);
+}
 
 std::shared_ptr<FairShareScheduler::Session> FairShareScheduler::AddSession(
     std::shared_ptr<void> owner, uint16_t tenant) {
@@ -242,8 +258,7 @@ SubmitResult FairShareScheduler::SubmitEx(const std::shared_ptr<Session>& sessio
                                           Message request) {
   Item item;
   item.enqueue_ns = NowNanos();
-  const int lane_idx =
-      static_cast<int>(request.slot % static_cast<uint64_t>(options_.lanes_per_session));
+  const int lane_idx = LaneOf(request);
   item.lane = lane_idx;
   item.session = session;
   const TrafficClass klass = ClassifyMessage(request.type);
@@ -405,6 +420,7 @@ bool FairShareScheduler::DispatchLocked(Item* out) {
     *out = std::move(lane.queue.front());
     lane.queue.pop_front();
     lane.running = true;
+    running_ += 1;
     queued_gauge_.Add(-1);
     served_[c]->Increment();
     dispatch_latency_us_.Observe(static_cast<double>(NowNanos() - out->enqueue_ns) / 1000.0);
@@ -455,6 +471,7 @@ bool FairShareScheduler::TryNext(Item* out) {
 bool FairShareScheduler::FinishLocked(const std::shared_ptr<Session>& session, int lane_idx) {
   Lane& lane = session->lanes[static_cast<size_t>(lane_idx)];
   lane.running = false;
+  running_ -= 1;
   if (!session->dead && !lane.queue.empty() && !lane.scheduled) {
     EnqueueLaneLocked(session, lane_idx);
     return true;
@@ -493,6 +510,35 @@ bool FairShareScheduler::DoneAndNext(const std::shared_ptr<Session>& session, in
         parked_.erase(it);
       }
     }
+  }
+}
+
+bool FairShareScheduler::TryClaimInline(const std::shared_ptr<Session>& session,
+                                        const Message& request) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopped_ || session->dead || total_queued_ > 0 || running_ > 0) {
+    return false;
+  }
+  // Idle means every lane is empty and out of service, this one included.
+  session->lanes[static_cast<size_t>(LaneOf(request))].running = true;
+  running_ += 1;
+  // Counted like a dispatch; with no queue wait, dispatch_latency_us has
+  // nothing to observe.
+  TenantQueueLocked(session->tenant)->served += 1;
+  served_[static_cast<int>(ClassifyMessage(request.type))]->Increment();
+  return true;
+}
+
+void FairShareScheduler::FinishInline(const std::shared_ptr<Session>& session,
+                                      const Message& request, bool served) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!served) {
+    // Declined: the request is about to be submitted and counted again.
+    TenantQueueLocked(session->tenant)->served -= 1;
+    served_[static_cast<int>(ClassifyMessage(request.type))]->Increment(-1);
+  }
+  if (FinishLocked(session, LaneOf(request))) {
+    WakeOneLocked();
   }
 }
 

@@ -1,7 +1,9 @@
 // Two-level fair-share request scheduler (DESIGN.md §13).
 //
 // The reactor's loop threads must never block on request service, so decoded
-// requests are handed to a small worker pool through this scheduler. Per-slot
+// requests are handed to a small worker pool through this scheduler — unless
+// the scheduler is idle, when the loop may claim the lane and serve a short
+// request itself (TryClaimInline: run to completion, no handoff). Per-slot
 // FIFO dispatch — what the thread-per-session transport did — lets a single
 // saturating background stream (repair resilver, migration drains) queue
 // ahead of foreground page faults. Here dispatch is fair at two levels:
@@ -163,6 +165,21 @@ class FairShareScheduler {
   // without the churn.
   bool DoneAndNext(const std::shared_ptr<Session>& session, int lane, Item* out);
 
+  // Run to completion (DESIGN.md §13): claims the lane `request` maps to in
+  // `session` so the caller can serve it on its own thread, skipping the
+  // queue and the worker wakeup. Granted only when the scheduler is idle —
+  // nothing queued for any tenant and no lane in service — so an inline
+  // dispatch never overtakes queued work, and WFQ order, lane FIFO and
+  // shedding behave exactly as without it. Refused for a dead session or a
+  // stopped scheduler. A granted claim counts as a dispatch in served() and
+  // TenantServed(), and must be ended with FinishInline.
+  bool TryClaimInline(const std::shared_ptr<Session>& session, const Message& request);
+  // Ends an inline claim like Done ends a dispatch. `served` false (the
+  // handler declined; the caller will Submit the request instead) also takes
+  // back the claim's dispatch count.
+  void FinishInline(const std::shared_ptr<Session>& session, const Message& request,
+                    bool served);
+
   // Wakes all waiters; Next returns false once the queues are drained... and
   // immediately for items submitted after.
   void Stop();
@@ -215,6 +232,10 @@ class FairShareScheduler {
     bool signaled = false;  // Guarded by mutex_.
   };
 
+  int LaneOf(const Message& request) const {
+    return static_cast<int>(request.slot % static_cast<uint64_t>(options_.lanes_per_session));
+  }
+
   // All private helpers run under mutex_.
   TenantQueue* TenantQueueLocked(uint16_t tenant);
   TenantQueue* PickTenantLocked();
@@ -242,6 +263,7 @@ class FairShareScheduler {
   std::unordered_map<uint16_t, size_t> tenant_index_;
   size_t tenant_cursor_ = 0;  // Round-robin start for the tenant scan.
   int64_t total_queued_ = 0;  // Backlog across all tenants (shed threshold).
+  int64_t running_ = 0;       // Lanes in service, by workers or inline.
 
   Counter* served_[kTrafficClasses];
   Counter* shed_;

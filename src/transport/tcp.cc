@@ -229,7 +229,7 @@ class TcpTransport::Demux final : public FrameSink {
   }
 
   // FrameSink (loop thread).
-  void OnFrame(Message frame) override {
+  void OnFrame(Message frame, bool /*more*/) override {
     TcpMetrics().frames_received.Increment();
     std::shared_ptr<RpcFuture::State> state;
     {
@@ -385,7 +385,9 @@ Result<TcpServerOptions> TcpServerOptions::FromConfig(const Config& config) {
 // Per-connection server state: the handler, the auth gate, and the scheduler
 // session. All FrameSink callbacks run on the connection's loop thread; the
 // service workers touch only handler() and SendReply(), both safe after the
-// scheduler handoff.
+// scheduler handoff. The handler may also run on the loop thread itself
+// (ServeInline), concurrently with workers serving this session's other
+// lanes — the same concurrency a multi-worker dispatch already has.
 class TcpServer::ServerSession final : public FrameSink {
  public:
   ServerSession(TcpServer* server, std::unique_ptr<MessageHandler> handler,
@@ -397,7 +399,7 @@ class TcpServer::ServerSession final : public FrameSink {
 
   void OnOpen(const std::shared_ptr<ReactorConnection>& conn) override { conn_ = conn; }
 
-  void OnFrame(Message frame) override {
+  void OnFrame(Message frame, bool more) override {
     if (frame.type == MessageType::kShutdown) {
       conn_->CloseAfterFlush(UnavailableError("session shutdown"));
       return;
@@ -438,6 +440,11 @@ class TcpServer::ServerSession final : public FrameSink {
       conn_->Send(MakeErrorReply(frame.request_id, ErrorCode::kFailedPrecondition));
       return;
     }
+    // Only the last frame of a read may run inline: serving a pipelined
+    // burst one frame at a time on the loop would serialize it.
+    if (!more && ServeInline(frame)) {
+      return;
+    }
     const uint64_t request_id = frame.request_id;
     switch (server_->scheduler_->SubmitEx(sched_, std::move(frame))) {
       case SubmitResult::kOk:
@@ -458,6 +465,28 @@ class TcpServer::ServerSession final : public FrameSink {
     server_->Reap(this);
   }
 
+  // Run to completion (DESIGN.md §13): with the scheduler idle, serve the
+  // request here and reply without waking a worker. False when the claim is
+  // refused or the handler declines (the request could sleep); the caller
+  // then submits the untouched request as usual.
+  bool ServeInline(const Message& request) {
+    FairShareScheduler& scheduler = *server_->scheduler_;
+    if (!scheduler.TryClaimInline(sched_, request)) {
+      return false;
+    }
+    InlineService& inline_service = InlineServiceFlags();
+    inline_service.active = true;
+    inline_service.declined = false;
+    Message reply = handler_->Handle(request);
+    inline_service.active = false;
+    const bool served = !inline_service.declined;
+    scheduler.FinishInline(sched_, request, served);
+    if (served) {
+      conn_->Send(std::move(reply));
+    }
+    return served;
+  }
+
   MessageHandler* handler() { return handler_.get(); }
   void SendReply(Message reply) { conn_->Send(std::move(reply)); }
   const std::shared_ptr<ReactorConnection>& connection() const { return conn_; }
@@ -474,6 +503,17 @@ class TcpServer::ServerSession final : public FrameSink {
   uint16_t tenant_ = 0;
   std::shared_ptr<ReactorConnection> conn_;
 };
+
+TcpServer::HandlerFactory TcpServer::ForwardTo(std::shared_ptr<MessageHandler> handler) {
+  struct Forwarder final : MessageHandler {
+    explicit Forwarder(std::shared_ptr<MessageHandler> target) : target(std::move(target)) {}
+    Message Handle(const Message& request) override { return target->Handle(request); }
+    std::shared_ptr<MessageHandler> target;
+  };
+  return [handler = std::move(handler)]() -> std::unique_ptr<MessageHandler> {
+    return std::make_unique<Forwarder>(handler);
+  };
+}
 
 Result<std::unique_ptr<TcpServer>> TcpServer::Start(uint16_t port, HandlerFactory factory,
                                                     std::string required_token,

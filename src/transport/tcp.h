@@ -13,9 +13,11 @@
 // requests flow through a two-level fair-share scheduler (scheduler.h) to a
 // shared service-worker pool, so foreground PAGEIN traffic is dispatched
 // ahead of background repair/migration streams and no single session can
-// monopolize the workers. Replies may leave the socket out of order — the
-// pipelined client demultiplexes them by request_id. Same-slot requests of a
-// session stay ordered (they share a scheduler lane).
+// monopolize the workers. When the scheduler is idle, the loop thread serves
+// a request itself instead of waking a worker — the paper's server answering
+// straight off its socket (§3.2). Replies may leave the socket out of order
+// — the pipelined client demultiplexes them by request_id. Same-slot
+// requests of a session stay ordered (they share a scheduler lane).
 //
 // TcpTransport is the client half. CallAsync registers the future, queues
 // the frame on the connection's reactor output queue (bounded: kMaxQueuedSends
@@ -112,8 +114,10 @@ class TcpTransport final : public Transport {
 // weights without a rebuild.
 struct TcpServerOptions {
   std::string required_token;  // Empty = open server.
-  // Threads servicing requests (the blocking half; loop threads never run
-  // handlers). 0 = pick a small default. The pool is shared by every session;
+  // Threads servicing requests. Loop threads run a handler only when the
+  // scheduler is idle and the request cannot sleep (run to completion,
+  // DESIGN.md §13); everything else, and all backlog, goes to this pool.
+  // 0 = pick a small default. The pool is shared by every session;
   // sizing it past the typical runnable-lane count buys nothing and costs a
   // futex wake/park round per dispatch (measured ~6% of depth-16 pipelined
   // throughput at 16 workers on one core).
@@ -132,6 +136,10 @@ struct TcpServerOptions {
 class TcpServer {
  public:
   using HandlerFactory = std::function<std::unique_ptr<MessageHandler>()>;
+
+  // The common factory: every connection's handler forwards to one shared,
+  // thread-safe handler — a MemoryServer serving all of its sessions.
+  static HandlerFactory ForwardTo(std::shared_ptr<MessageHandler> handler);
 
   // Binds to 127.0.0.1:`port` (0 picks an ephemeral port). `factory` is
   // invoked once per accepted connection. When `required_token` is

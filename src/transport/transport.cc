@@ -51,6 +51,11 @@ void RpcFuture::Complete(const std::shared_ptr<State>& state, Result<Message> re
   state->cv.notify_all();
 }
 
+InlineService& InlineServiceFlags() {
+  thread_local InlineService flags;
+  return flags;
+}
+
 RpcFuture Transport::CallAsync(Message request) { return RpcFuture::MakeReady(Call(request)); }
 
 }  // namespace rmp

@@ -39,6 +39,20 @@ class MessageHandler {
   virtual Message Handle(const Message& request) = 0;
 };
 
+// Run to completion (DESIGN.md §13). When its scheduler is idle, TcpServer
+// calls Handle on the connection's event-loop thread instead of waking a
+// service worker, and sets `active` for the duration of the call. A request
+// that could sleep (an emulated service delay, spill-disk I/O) must not stall
+// a loop: before any side effect the handler sets `declined` and returns an
+// empty Message. The transport discards that reply and queues the untouched
+// request for a worker. The flags belong to the thread, not to a handler
+// object, so a handler that forwards to another needs to do nothing.
+struct InlineService {
+  bool active = false;    // Handle runs on a loop thread.
+  bool declined = false;  // Set by the handler; the reply is discarded.
+};
+InlineService& InlineServiceFlags();  // This thread's flags.
+
 // Completion handle for one in-flight CallAsync. Copyable; all copies share
 // the same completion state. Wait() may be called from any thread and is
 // idempotent.

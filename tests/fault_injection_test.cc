@@ -543,18 +543,9 @@ TEST(TestbedRestartTest, RestartServerResetsPerServerStats) {
 
 // --- RPC deadline over real sockets ----------------------------------------
 
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server)
-      : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 TEST(RpcDeadlineTest, WaitForTimesOutThenDeliversLate) {
   auto server = std::make_shared<MemoryServer>();
-  auto started = TcpServer::Start(0, [server]() -> std::unique_ptr<MessageHandler> {
-    return std::make_unique<ForwardingHandler>(server);
-  });
+  auto started = TcpServer::Start(0, TcpServer::ForwardTo(server));
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   auto client = TcpTransport::Connect("127.0.0.1", (*started)->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();

@@ -98,13 +98,6 @@ TEST(IntegrationTest, WorkloadSurvivesCrashWithTimingAttached) {
 // --- The pager over real TCP ---------------------------------------------------
 
 struct TcpFixture {
-  struct ForwardingHandler : MessageHandler {
-    explicit ForwardingHandler(std::shared_ptr<MemoryServer> server)
-        : server(std::move(server)) {}
-    Message Handle(const Message& request) override { return server->Handle(request); }
-    std::shared_ptr<MemoryServer> server;
-  };
-
   std::vector<std::shared_ptr<MemoryServer>> servers;
   std::vector<std::unique_ptr<TcpServer>> listeners;
 
@@ -115,9 +108,7 @@ struct TcpFixture {
       params.name = "tcp-ws" + std::to_string(i);
       params.capacity_pages = 512;
       servers.push_back(std::make_shared<MemoryServer>(params));
-      auto listener = TcpServer::Start(0, [server = servers.back()] {
-        return std::unique_ptr<MessageHandler>(new ForwardingHandler(server));
-      });
+      auto listener = TcpServer::Start(0, TcpServer::ForwardTo(servers.back()));
       if (!listener.ok()) {
         return listener.status();
       }

@@ -269,29 +269,104 @@ TEST(FairShareScheduler, TenantQueueCapBoundsOneTenantsBacklog) {
   EXPECT_EQ(scheduler.SubmitEx(hog, MakePageIn(7, 7)), SubmitResult::kOk);
 }
 
-// --- TcpServer integration ---------------------------------------------------
+// --- Run to completion: inline claims (DESIGN.md §13) ------------------------
+// A loop thread may serve a request itself only while the scheduler is idle;
+// every refusal below is a case where serving inline would overtake queued
+// work, break lane FIFO, or serve for a session or scheduler that is gone.
 
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server) : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
+TEST(FairShareScheduler, InlineClaimRefusedWhenAnythingIsQueued) {
+  FairShareScheduler scheduler(SchedulerOptions{}, "schedtest_inline_queued");
+  auto queued = scheduler.AddSession(nullptr);
+  auto other = scheduler.AddSession(nullptr);
+  ASSERT_TRUE(scheduler.Submit(queued, MakePageIn(1, /*slot=*/3)));
+  // Another session, another lane: still refused, or it would jump the queue.
+  EXPECT_FALSE(scheduler.TryClaimInline(other, MakePageIn(2, /*slot=*/4)));
+  FairShareScheduler::Item item;
+  ASSERT_TRUE(scheduler.TryNext(&item));
+  scheduler.Done(item);
+  EXPECT_TRUE(scheduler.TryClaimInline(other, MakePageIn(2, /*slot=*/4)));
+  scheduler.FinishInline(other, MakePageIn(2, /*slot=*/4), /*served=*/true);
+}
+
+TEST(FairShareScheduler, InlineClaimRefusedWhileALaneIsRunning) {
+  FairShareScheduler scheduler(SchedulerOptions{}, "schedtest_inline_running");
+  auto session = scheduler.AddSession(nullptr);
+  auto other = scheduler.AddSession(nullptr);
+  ASSERT_TRUE(scheduler.Submit(session, MakePageIn(1, /*slot=*/3)));
+  FairShareScheduler::Item item;
+  ASSERT_TRUE(scheduler.TryNext(&item));  // Queue empty, lane in service.
+  EXPECT_FALSE(scheduler.TryClaimInline(session, MakePageIn(2, /*slot=*/3)));
+  EXPECT_FALSE(scheduler.TryClaimInline(other, MakePageIn(3, /*slot=*/5)));
+  scheduler.Done(item);
+  ASSERT_TRUE(scheduler.TryClaimInline(session, MakePageIn(2, /*slot=*/3)));
+  // An inline claim is in service too: nothing else claims beside it.
+  EXPECT_FALSE(scheduler.TryClaimInline(other, MakePageIn(3, /*slot=*/5)));
+  scheduler.FinishInline(session, MakePageIn(2, /*slot=*/3), /*served=*/true);
+}
+
+TEST(FairShareScheduler, InlineClaimRefusedForDeadSessionOrStoppedScheduler) {
+  FairShareScheduler scheduler(SchedulerOptions{}, "schedtest_inline_dead");
+  auto dead = scheduler.AddSession(nullptr);
+  auto live = scheduler.AddSession(nullptr);
+  scheduler.RemoveSession(dead);
+  EXPECT_FALSE(scheduler.TryClaimInline(dead, MakePageIn(1, 1)));
+  scheduler.Stop();
+  EXPECT_FALSE(scheduler.TryClaimInline(live, MakePageIn(2, 2)));
+}
+
+TEST(FairShareScheduler, InlineClaimHoldsItsLaneUntilFinished) {
+  SchedulerOptions options;
+  options.lanes_per_session = 4;
+  FairShareScheduler scheduler(options, "schedtest_inline_lane");
+  auto session = scheduler.AddSession(nullptr);
+  const Message first = MakePageIn(1, /*slot=*/8);
+  ASSERT_TRUE(scheduler.TryClaimInline(session, first));
+  // A same-lane request submitted meanwhile waits for the inline one.
+  ASSERT_TRUE(scheduler.Submit(session, MakePageIn(2, /*slot=*/8)));
+  FairShareScheduler::Item item;
+  EXPECT_FALSE(scheduler.TryNext(&item));
+  scheduler.FinishInline(session, first, /*served=*/true);
+  ASSERT_TRUE(scheduler.TryNext(&item));
+  EXPECT_EQ(item.request.request_id, 2u);
+  scheduler.Done(item);
+}
+
+TEST(FairShareScheduler, InlineDispatchesAreCountedAndDeclinesAreNot) {
+  FairShareScheduler scheduler(SchedulerOptions{}, "schedtest_inline_count");
+  auto session = scheduler.AddSession(nullptr, /*tenant=*/3);
+  const Message pagein = MakePageIn(1, 1);
+  ASSERT_TRUE(scheduler.TryClaimInline(session, pagein));
+  scheduler.FinishInline(session, pagein, /*served=*/true);
+  EXPECT_EQ(scheduler.served(TrafficClass::kPagein), 1);
+  EXPECT_EQ(scheduler.TenantServed(3), 1u);
+  // A declined claim is handed back uncounted; the Submit that follows is
+  // what counts, once, when a worker takes it.
+  const Message control = MakeLoadQuery(2);
+  ASSERT_TRUE(scheduler.TryClaimInline(session, control));
+  scheduler.FinishInline(session, control, /*served=*/false);
+  EXPECT_EQ(scheduler.served(TrafficClass::kControl), 0);
+  ASSERT_TRUE(scheduler.Submit(session, control));
+  FairShareScheduler::Item item;
+  ASSERT_TRUE(scheduler.TryNext(&item));
+  scheduler.Done(item);
+  EXPECT_EQ(scheduler.served(TrafficClass::kControl), 1);
+  EXPECT_EQ(scheduler.TenantServed(3), 2u);
+}
+
+// --- TcpServer integration ---------------------------------------------------
 
 class ReactorTcpTest : public ::testing::Test {
  protected:
   void StartServer(TcpServerOptions options = TcpServerOptions(), uint64_t capacity = 4096,
-                   TenantPolicyParams tenants = TenantPolicyParams()) {
+                   TenantPolicyParams tenants = TenantPolicyParams(),
+                   int64_t store_service_micros = 0) {
     MemoryServerParams params;
     params.name = "reactor-test";
     params.capacity_pages = capacity;
     params.tenants = std::move(tenants);
+    params.store_service_micros = store_service_micros;
     server_ = std::make_shared<MemoryServer>(params);
-    auto started = TcpServer::Start(
-        0,
-        [this]() -> std::unique_ptr<MessageHandler> {
-          return std::make_unique<ForwardingHandler>(server_);
-        },
-        std::move(options));
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server_), std::move(options));
     ASSERT_TRUE(started.ok()) << started.status().ToString();
     tcp_server_ = std::move(*started);
   }
@@ -383,6 +458,82 @@ TEST_F(ReactorTcpTest, BackgroundFloodDoesNotStarveForegroundPagein) {
   // sanitizer builds, but far below the FIFO floor.
   EXPECT_GE(flood_ms, 40.0);
   EXPECT_LT(fault_ms, flood_ms / 2.0);
+}
+
+// A request that could sleep never runs on a loop thread. With one loop, a
+// 200 ms request served inline would stall every other connection on that
+// loop; MemoryServer::Handle declines it instead, so it sleeps on a worker
+// while the second worker answers another connection promptly.
+class InlineDeclineTest : public ReactorTcpTest {
+ protected:
+  static TcpServerOptions OneLoopTwoWorkers() {
+    TcpServerOptions options;
+    options.reactor.loop_threads = 1;
+    options.service_workers = 2;
+    return options;
+  }
+
+  // Issues `slow` on one connection, waits until a worker has it in service,
+  // then returns how long `quick` takes on a second connection.
+  double QuickLatencyBehindSlow(const Message& slow, const Message& quick) {
+    auto slow_client = Connect();
+    auto quick_client = Connect();
+    EXPECT_TRUE(slow_client.ok() && quick_client.ok());
+    if (!slow_client.ok() || !quick_client.ok()) {
+      return 1e9;
+    }
+    const TrafficClass klass = ClassifyMessage(slow.type);
+    const int64_t served_before = tcp_server_->scheduler().served(klass);
+    RpcFuture pending = (*slow_client)->CallAsync(slow);
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (tcp_server_->scheduler().served(klass) == served_before && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const auto issued = Clock::now();
+    auto reply = (*quick_client)->Call(quick);
+    const double quick_ms = MillisSince(issued);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    auto slow_reply = pending.Wait();
+    EXPECT_TRUE(slow_reply.ok()) << slow_reply.status().ToString();
+    return quick_ms;
+  }
+};
+
+TEST_F(InlineDeclineTest, SlotDelayedRequestLeavesTheLoopFree) {
+  StartServer(OneLoopTwoWorkers());
+  auto setup = Connect();
+  ASSERT_TRUE(setup.ok());
+  auto alloc = (*setup)->Call(MakeAllocRequest(1, 2));
+  ASSERT_TRUE(alloc.ok());
+  PageBuffer page;
+  FillPattern(page.span(), 11);
+  for (uint64_t i = 0; i < 2; ++i) {
+    auto stored = (*setup)->Call(MakePageOut(2 + i, alloc->slot + i, page.span()));
+    ASSERT_TRUE(stored.ok());
+    ASSERT_EQ(stored->status_code(), ErrorCode::kOk);
+  }
+  server_->SetSlotDelayForTest(alloc->slot, 200'000);  // 200 ms on slot A only.
+  const double quick_ms =
+      QuickLatencyBehindSlow(MakePageIn(10, alloc->slot), MakePageIn(11, alloc->slot + 1));
+  EXPECT_LT(quick_ms, 50.0);
+}
+
+TEST_F(InlineDeclineTest, StoreServiceTimeLeavesTheLoopFree) {
+  StartServer(OneLoopTwoWorkers(), 4096, TenantPolicyParams(),
+              /*store_service_micros=*/200'000);
+  auto setup = Connect();
+  ASSERT_TRUE(setup.ok());
+  auto alloc = (*setup)->Call(MakeAllocRequest(1, 1));
+  ASSERT_TRUE(alloc.ok());
+  PageBuffer page;
+  FillPattern(page.span(), 12);
+  auto stored = (*setup)->Call(MakePageOut(2, alloc->slot, page.span()));
+  ASSERT_TRUE(stored.ok());
+  ASSERT_EQ(stored->status_code(), ErrorCode::kOk);
+  // Every store access sleeps here, so the quick request is one that never
+  // touches the store; it is still declined, and served by the other worker.
+  const double quick_ms = QuickLatencyBehindSlow(MakePageIn(10, alloc->slot), MakeLoadQuery(11));
+  EXPECT_LT(quick_ms, 50.0);
 }
 
 // Garbage on one connection (bad magic / hostile length) must close exactly

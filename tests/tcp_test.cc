@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/server/memory_server.h"
@@ -15,14 +17,6 @@
 namespace rmp {
 namespace {
 
-// All sessions share one server object (thread-safe), mirroring one
-// workstation's donated memory.
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server) : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 class TcpTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -30,9 +24,9 @@ class TcpTest : public ::testing::Test {
     params.name = "tcp-server";
     params.capacity_pages = 256;
     server_ = std::make_shared<MemoryServer>(params);
-    auto started = TcpServer::Start(0, [this]() -> std::unique_ptr<MessageHandler> {
-      return std::make_unique<ForwardingHandler>(server_);
-    });
+    // All sessions share one server object (thread-safe), mirroring one
+    // workstation's donated memory.
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server_));
     ASSERT_TRUE(started.ok()) << started.status().ToString();
     tcp_server_ = std::move(*started);
   }
@@ -145,12 +139,8 @@ class TcpAuthTest : public ::testing::Test {
     MemoryServerParams params;
     params.capacity_pages = 64;
     server_ = std::make_shared<MemoryServer>(params);
-    auto started = TcpServer::Start(
-        0,
-        [this] {
-          return std::unique_ptr<MessageHandler>(new ForwardingHandler(server_));
-        },
-        /*required_token=*/"hunter2");
+    auto started = TcpServer::Start(0, TcpServer::ForwardTo(server_),
+                                    /*required_token=*/"hunter2");
     ASSERT_TRUE(started.ok());
     tcp_server_ = std::move(*started);
   }
@@ -186,9 +176,7 @@ TEST_F(TcpAuthTest, OpenServerIgnoresAuthRequirement) {
   MemoryServerParams params;
   params.capacity_pages = 64;
   auto open_server = std::make_shared<MemoryServer>(params);
-  auto started = TcpServer::Start(0, [open_server] {
-    return std::unique_ptr<MessageHandler>(new ForwardingHandler(open_server));
-  });
+  auto started = TcpServer::Start(0, TcpServer::ForwardTo(open_server));
   ASSERT_TRUE(started.ok());
   auto client = TcpTransport::Connect("127.0.0.1", (*started)->port(), "any-token");
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -234,10 +222,8 @@ TEST_F(TcpTest, PipelinedBatchRoundTrip) {
 TEST_F(TcpTest, OutOfOrderRepliesAreDemultiplexed) {
   // A multi-worker session may emit replies out of request order; the client
   // must route each reply to its own future by request_id.
-  auto started = TcpServer::Start(
-      0,
-      [this] { return std::unique_ptr<MessageHandler>(new ForwardingHandler(server_)); },
-      /*required_token=*/"", /*session_workers=*/4);
+  auto started = TcpServer::Start(0, TcpServer::ForwardTo(server_),
+                                  /*required_token=*/"", /*session_workers=*/4);
   ASSERT_TRUE(started.ok());
   auto client = TcpTransport::Connect("127.0.0.1", (*started)->port());
   ASSERT_TRUE(client.ok());
@@ -265,6 +251,38 @@ TEST_F(TcpTest, OutOfOrderRepliesAreDemultiplexed) {
   EXPECT_EQ(slow_reply->request_id, 4u);
   EXPECT_TRUE(CheckPattern(std::span<const uint8_t>(slow_reply->payload), 7));
   server_->SetSlotDelayForTest(alloc->slot, 0);
+}
+
+TEST_F(TcpTest, PipelinedSameSlotWritesStayOrderedAcrossInlineAndQueuedService) {
+  // Versions of one slot sent with uneven gaps: a version that arrives alone
+  // on an idle server is served inline on the loop thread, one that arrives
+  // behind others in the same read is queued for a worker. Either way the
+  // lane keeps them in order, so the last version written is the one read.
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  auto alloc = (*client)->Call(MakeAllocRequest(1, 1));
+  ASSERT_TRUE(alloc.ok());
+  const int gaps_us[8] = {0, 0, 300, 0, 0, 0, 1500, 0};
+  uint64_t request_id = 10;
+  for (int round = 0; round < 16; ++round) {
+    std::vector<RpcFuture> acks;
+    PageBuffer page;
+    for (int version = 1; version <= 8; ++version) {
+      FillPattern(page.span(), static_cast<uint64_t>(round * 100 + version));
+      acks.push_back((*client)->CallAsync(MakePageOut(request_id++, alloc->slot, page.span())));
+      std::this_thread::sleep_for(std::chrono::microseconds(gaps_us[(version + round) % 8]));
+    }
+    for (auto& ack : acks) {
+      auto reply = ack.Wait();
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_EQ(reply->status_code(), ErrorCode::kOk);
+    }
+    auto read = (*client)->Call(MakePageIn(request_id++, alloc->slot));
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(CheckPattern(std::span<const uint8_t>(read->payload),
+                             static_cast<uint64_t>(round * 100 + 8)))
+        << "round " << round;
+  }
 }
 
 TEST_F(TcpTest, ServerShutdownFailsAllInFlight) {

@@ -187,12 +187,6 @@ void RenderFrame(std::vector<ServerView>* views, std::vector<EventLine>* event_t
 
 // --- Demo fleet -------------------------------------------------------------
 
-struct ForwardingHandler : MessageHandler {
-  explicit ForwardingHandler(std::shared_ptr<MemoryServer> server) : server(std::move(server)) {}
-  Message Handle(const Message& request) override { return server->Handle(request); }
-  std::shared_ptr<MemoryServer> server;
-};
-
 // A self-contained loopback fleet: three memory servers behind TcpServer
 // listeners and one traced paging client hammering them, so every rmptop
 // panel has live numbers without an external cluster.
@@ -226,9 +220,7 @@ Result<std::unique_ptr<DemoFleet>> StartDemo(std::vector<std::string>* addrs) {
     server->events().Append(EventKind::kInfo, "demo",
                             params.name + " listening; capacity=" +
                                 std::to_string(params.capacity_pages) + " pages");
-    auto listener = TcpServer::Start(0, [server] {
-      return std::unique_ptr<MessageHandler>(new ForwardingHandler(server));
-    });
+    auto listener = TcpServer::Start(0, TcpServer::ForwardTo(server));
     if (!listener.ok()) {
       return listener.status();
     }
