@@ -61,17 +61,3 @@ for sanitizer in "${sanitizers[@]}"; do
     ctest --test-dir "${build_dir}" -L "${label}" --output-on-failure -j
   echo "==> [${sanitizer}] OK"
 done
-
-# The io_uring reactor backend is compile-gated (RMP_IO_URING) and most
-# deployments build without it, so bit-rot would go unnoticed: keep it
-# compiling (transport library + the gated reactor_test smoke) even where the
-# kernel can't run it.
-if [[ "${RMP_SKIP_IO_URING_CHECK:-0}" != "1" ]]; then
-  build_dir="${repo_root}/build-iouring-check"
-  echo "==> [io_uring] compile check in ${build_dir}"
-  cmake -B "${build_dir}" -S "${repo_root}" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DRMP_IO_URING=ON
-  cmake --build "${build_dir}" -j --target rmp_transport reactor_test
-  echo "==> [io_uring] OK"
-fi

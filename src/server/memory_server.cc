@@ -213,8 +213,6 @@ Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params) {
       auto v = config.GetDouble(key, row->advise_stop_fraction);
       RMP_RETURN_IF_ERROR(v.status());
       row->advise_stop_fraction = std::clamp(*v, 0.0, 1.0);
-    } else if (field == "weight") {
-      continue;  // The scheduler's knob (SchedulerOptions::FromConfig), not ours.
     } else {
       return InvalidArgumentError("unknown tenant key: " + key);
     }

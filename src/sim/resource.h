@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "src/util/histogram.h"
+#include "src/util/running_stats.h"
 #include "src/util/units.h"
 
 namespace rmp {

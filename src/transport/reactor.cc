@@ -56,69 +56,12 @@ Status SetNonBlocking(int fd) {
 // under IOV_MAX, large enough to coalesce small acks into one syscall.
 constexpr size_t kWritevFrames = 32;
 constexpr int kMaxPollEvents = 128;
-// Level-triggered read rounds per event; the poll re-fires for the rest, so
-// one flooding connection cannot monopolize its loop.
-constexpr int kLevelTriggeredReadRounds = 4;
+// Read rounds per readable event; level-triggered epoll re-fires for the
+// rest, so one flooding connection cannot monopolize its loop.
+constexpr int kReadRounds = 4;
 constexpr int kAcceptsPerEvent = 64;
 
-class EpollBackend final : public PollBackend {
- public:
-  static std::unique_ptr<PollBackend> Create() {
-    UniqueFd fd(::epoll_create1(0));
-    if (!fd.valid()) {
-      return nullptr;
-    }
-    return std::unique_ptr<PollBackend>(new EpollBackend(std::move(fd)));
-  }
-
-  const char* name() const override { return "epoll"; }
-
-  Status Add(int fd, uint32_t events) override { return Ctl(EPOLL_CTL_ADD, fd, events); }
-  Status Mod(int fd, uint32_t events) override { return Ctl(EPOLL_CTL_MOD, fd, events); }
-  void Del(int fd) override {
-    epoll_event ev{};
-    ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  int Wait(PollEvent* out, int max) override {
-    epoll_event events[kMaxPollEvents];
-    const int cap = max < kMaxPollEvents ? max : kMaxPollEvents;
-    const int n = ::epoll_wait(epfd_.get(), events, cap, -1);
-    if (n < 0) {
-      return errno == EINTR ? 0 : -1;
-    }
-    for (int i = 0; i < n; ++i) {
-      out[i].fd = events[i].data.fd;
-      out[i].events = events[i].events;
-    }
-    return n;
-  }
-
- private:
-  explicit EpollBackend(UniqueFd fd) : epfd_(std::move(fd)) {}
-
-  Status Ctl(int op, int fd, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_.get(), op, fd, &ev) != 0) {
-      return ErrnoError("epoll_ctl");
-    }
-    return OkStatus();
-  }
-
-  UniqueFd epfd_;
-};
-
 }  // namespace
-
-std::unique_ptr<PollBackend> MakeEpollBackend() { return EpollBackend::Create(); }
-
-#ifndef RMP_IO_URING
-// Built without the io_uring backend (see reactor_uring.cc): always fall
-// back to epoll.
-std::unique_ptr<PollBackend> MakeIoUringBackend() { return nullptr; }
-#endif
 
 // --- UniqueFd ---------------------------------------------------------------
 
@@ -140,39 +83,6 @@ void UniqueFd::Reset(int fd) {
     ::close(fd_);
   }
   fd_ = fd;
-}
-
-// --- ReactorOptions ---------------------------------------------------------
-
-Result<ReactorOptions> ReactorOptions::FromConfig(const Config& config) {
-  ReactorOptions options;
-  auto loops = config.GetInt("reactor.loop_threads", options.loop_threads);
-  if (!loops.ok()) {
-    return loops.status();
-  }
-  if (*loops < 1 || *loops > 64) {
-    return InvalidArgumentError("reactor.loop_threads out of range [1, 64]");
-  }
-  options.loop_threads = static_cast<int>(*loops);
-  auto edge = config.GetBool("reactor.edge_triggered", options.edge_triggered);
-  if (!edge.ok()) {
-    return edge.status();
-  }
-  options.edge_triggered = *edge;
-  auto uring = config.GetBool("reactor.io_uring", options.use_io_uring);
-  if (!uring.ok()) {
-    return uring.status();
-  }
-  options.use_io_uring = *uring;
-  auto sndbuf_kb = config.GetInt("reactor.sndbuf_kb", options.sndbuf_bytes / 1024);
-  if (!sndbuf_kb.ok()) {
-    return sndbuf_kb.status();
-  }
-  if (*sndbuf_kb < 0 || *sndbuf_kb > 64 * 1024) {
-    return InvalidArgumentError("reactor.sndbuf_kb out of range [0, 65536]");
-  }
-  options.sndbuf_bytes = static_cast<int>(*sndbuf_kb) * 1024;
-  return options;
 }
 
 // --- BufferPool -------------------------------------------------------------
@@ -206,7 +116,6 @@ BufferPool::Lease BufferPool::Acquire() {
       return Lease(this, std::move(buffer));
     }
   }
-  created_.fetch_add(1, std::memory_order_relaxed);
   return Lease(this, std::make_unique<uint8_t[]>(buffer_bytes_));
 }
 
@@ -215,11 +124,6 @@ void BufferPool::Release(std::unique_ptr<uint8_t[]> buffer) {
   if (free_.size() < max_pooled_) {
     free_.push_back(std::move(buffer));
   }
-}
-
-size_t BufferPool::pooled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return free_.size();
 }
 
 // --- ReactorConnection ------------------------------------------------------
@@ -240,7 +144,6 @@ bool ReactorConnection::Send(Message frame, std::function<void()> on_written,
       return false;
     }
     outq_.push_back(std::move(out));
-    queued_frames_.fetch_add(1, std::memory_order_relaxed);
   }
   if (flush) {
     MaybeFlush();
@@ -386,7 +289,6 @@ void ReactorConnection::DoFlush() {
           break;
         }
         Metrics().frames_sent.Increment();
-        queued_frames_.fetch_sub(1, std::memory_order_relaxed);
         if (frame.on_written) {
           completed.push_back(std::move(frame.on_written));
         }
@@ -403,20 +305,13 @@ void ReactorConnection::DoFlush() {
       continue;
     }
   }
-  if (!dropped.empty()) {
-    queued_frames_.fetch_sub(dropped.size(), std::memory_order_relaxed);
-  }
 }
 
 void ReactorConnection::ArmWriteOnLoop() {
   if (closed_on_loop_ || !in_poll_) {
     return;
   }
-  uint32_t events = EPOLLIN | EPOLLOUT;
-  if (loop_->options_.edge_triggered) {
-    events |= EPOLLET;
-  }
-  Status status = loop_->backend_->Mod(fd_.get(), events);
+  Status status = loop_->Watch(EPOLL_CTL_MOD, fd_.get(), EPOLLIN | EPOLLOUT);
   if (!status.ok()) {
     CloseOnLoop(status);
   }
@@ -437,11 +332,7 @@ void ReactorConnection::HandleWritable() {
   }
   // Disarm EPOLLOUT before flushing: level-triggered OUT on a writable
   // socket would spin the loop otherwise. A renewed EAGAIN re-arms it.
-  uint32_t events = EPOLLIN;
-  if (loop_->options_.edge_triggered) {
-    events |= EPOLLET;
-  }
-  Status status = loop_->backend_->Mod(fd_.get(), events);
+  Status status = loop_->Watch(EPOLL_CTL_MOD, fd_.get(), EPOLLIN);
   if (!status.ok()) {
     if (take) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -457,8 +348,7 @@ void ReactorConnection::HandleWritable() {
 
 void ReactorConnection::HandleReadable() {
   BufferPool::Lease lease = loop_->pool_->Acquire();
-  const int rounds = loop_->options_.edge_triggered ? INT32_MAX : kLevelTriggeredReadRounds;
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kReadRounds; ++round) {
     const ssize_t n = ::recv(fd_.get(), lease.data(), lease.size(), 0);
     if (n > 0) {
       Metrics().bytes_received.Increment(n);
@@ -519,7 +409,7 @@ void ReactorConnection::HandleReadable() {
       if (!chunk.empty()) {
         reader_.Feed(chunk);
       }
-      if (!read_full && !loop_->options_.edge_triggered) {
+      if (!read_full) {
         return;  // Likely drained; level-triggered poll re-fires otherwise.
       }
       continue;
@@ -558,9 +448,8 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
       dropped.swap(outq_);
     }
   }
-  queued_frames_.fetch_sub(dropped.size(), std::memory_order_relaxed);
   if (in_poll_) {
-    loop_->backend_->Del(fd_.get());
+    loop_->Unwatch(fd_.get());
     in_poll_ = false;
   }
   loop_->conns_.erase(fd_.get());
@@ -579,39 +468,46 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
 
 // --- EventLoop --------------------------------------------------------------
 
-EventLoop::EventLoop(int index, const ReactorOptions& options, BufferPool* pool,
-                     const std::string& metric_prefix)
+EventLoop::EventLoop(int index, BufferPool* pool, const std::string& metric_prefix)
     : index_(index),
-      options_(options),
       pool_(pool),
       ready_events_gauge_(*MetricsRegistry::Global().GetGauge(
           metric_prefix + ".loop" + std::to_string(index) + ".ready_events")),
       dispatches_(*MetricsRegistry::Global().GetCounter(
-          metric_prefix + ".loop" + std::to_string(index) + ".dispatches")) {
-  if (options_.use_io_uring) {
-    backend_ = MakeIoUringBackend();
-  }
-  if (backend_ == nullptr) {
-    backend_ = MakeEpollBackend();
-  }
-}
+          metric_prefix + ".loop" + std::to_string(index) + ".dispatches")) {}
 
 EventLoop::~EventLoop() { StopAndJoin(); }
 
 Status EventLoop::Start() {
-  if (backend_ == nullptr) {
-    return InternalError("no poll backend available");
+  epoll_fd_.Reset(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) {
+    return ErrnoError("epoll_create1");
   }
   wakeup_fd_.Reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
   if (!wakeup_fd_.valid()) {
     return ErrnoError("eventfd");
   }
-  Status status = backend_->Add(wakeup_fd_.get(), EPOLLIN);
+  Status status = Watch(EPOLL_CTL_ADD, wakeup_fd_.get(), EPOLLIN);
   if (!status.ok()) {
     return status;
   }
   thread_ = std::thread([this] { Run(); });
   return OkStatus();
+}
+
+Status EventLoop::Watch(int op, int fd, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
+    return ErrnoError("epoll_ctl");
+  }
+  return OkStatus();
+}
+
+void EventLoop::Unwatch(int fd) {
+  epoll_event ev{};
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, &ev);
 }
 
 void EventLoop::Post(std::function<void()> task) {
@@ -676,41 +572,46 @@ void EventLoop::CloseAllOnLoop() {
 }
 
 void EventLoop::Run() {
-  PollEvent events[kMaxPollEvents];
+  epoll_event events[kMaxPollEvents];
   while (running_) {
-    const int n = backend_->Wait(events, kMaxPollEvents);
+    const int n = ::epoll_wait(epoll_fd_.get(), events, kMaxPollEvents, -1);
     if (n < 0) {
-      RMP_LOG(kWarning) << "poll backend failed on loop " << index_ << "; loop exiting";
+      if (errno == EINTR) {
+        continue;
+      }
+      RMP_LOG(kWarning) << "epoll_wait failed on loop " << index_ << ": "
+                        << std::strerror(errno) << "; loop exiting";
       break;
     }
     ready_events_gauge_.Set(n);
     for (int i = 0; i < n && running_; ++i) {
-      const PollEvent& event = events[i];
+      const int fd = events[i].data.fd;
+      const uint32_t ready = events[i].events;
       dispatches_.Increment();
-      if (event.fd == wakeup_fd_.get()) {
+      if (fd == wakeup_fd_.get()) {
         uint64_t drained = 0;
         [[maybe_unused]] ssize_t r = ::read(wakeup_fd_.get(), &drained, sizeof(drained));
         RunTasks();
         continue;
       }
-      auto listener_it = listeners_.find(event.fd);
+      auto listener_it = listeners_.find(fd);
       if (listener_it != listeners_.end()) {
         AcceptReady(&listener_it->second);
         continue;
       }
-      auto it = conns_.find(event.fd);
+      auto it = conns_.find(fd);
       if (it == conns_.end()) {
         continue;  // Closed earlier in this batch.
       }
       std::shared_ptr<ReactorConnection> conn = it->second;
-      if ((event.events & EPOLLERR) != 0) {
+      if ((ready & EPOLLERR) != 0) {
         conn->CloseOnLoop(IoError("socket error"));
         continue;
       }
-      if ((event.events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0) {
+      if ((ready & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0) {
         conn->HandleReadable();
       }
-      if ((event.events & EPOLLOUT) != 0) {
+      if ((ready & EPOLLOUT) != 0) {
         conn->HandleWritable();
       }
     }
@@ -744,13 +645,12 @@ std::string AutoPrefix(const std::string& requested) {
 }  // namespace
 
 Reactor::Reactor(ReactorOptions options, std::string metric_prefix)
-    : options_(options),
-      pool_(options.read_chunk_bytes, options.pooled_read_buffers) {
+    : pool_(ReactorOptions::kReadChunkBytes, ReactorOptions::kPooledReadBuffers) {
   const std::string prefix = AutoPrefix(metric_prefix);
-  const int loops = options_.loop_threads < 1 ? 1 : options_.loop_threads;
+  const int loops = options.loop_threads < 1 ? 1 : options.loop_threads;
   loops_.reserve(static_cast<size_t>(loops));
   for (int i = 0; i < loops; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>(i, options_, &pool_, prefix));
+    loops_.push_back(std::make_unique<EventLoop>(i, &pool_, prefix));
     Status started = loops_.back()->Start();
     if (!started.ok()) {
       RMP_LOG(kError) << "event loop " << i << " failed to start: " << started.ToString();
@@ -760,7 +660,7 @@ Reactor::Reactor(ReactorOptions options, std::string metric_prefix)
   if (loops_.empty()) {
     // Keep the invariant that at least one loop exists; a loop whose Start
     // failed still drops posted tasks safely.
-    loops_.push_back(std::make_unique<EventLoop>(0, options_, &pool_, prefix));
+    loops_.push_back(std::make_unique<EventLoop>(0, &pool_, prefix));
     (void)loops_.back()->Start();
   }
 }
@@ -790,14 +690,12 @@ std::shared_ptr<ReactorConnection> Reactor::Register(UniqueFd fd,
   if (!nonblocking.ok()) {
     return nullptr;
   }
-  if (options_.sndbuf_bytes > 0) {
-    // Nonblocking writers pay an EPOLLOUT round trip (two epoll_ctl calls
-    // plus a poll cycle of delay) every time sendmsg hits EAGAIN; the kernel
-    // default (net.ipv4.tcp_wmem[1], commonly 16KB) backpressures after two
-    // pages. Explicit headroom keeps the direct-write fast path direct.
-    const int sndbuf = options_.sndbuf_bytes;
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-  }
+  // Nonblocking writers pay an EPOLLOUT round trip (two epoll_ctl calls plus
+  // a poll cycle of delay) every time sendmsg hits EAGAIN; the kernel default
+  // (net.ipv4.tcp_wmem[1], commonly 16KB) backpressures after two pages.
+  // Explicit headroom keeps the direct-write fast path direct.
+  const int sndbuf = ReactorOptions::kSndbufBytes;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
   EventLoop* loop =
       loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size()].get();
   auto conn = std::shared_ptr<ReactorConnection>(
@@ -807,11 +705,7 @@ std::shared_ptr<ReactorConnection> Reactor::Register(UniqueFd fd,
     loop->conns_[fd] = conn;
     Metrics().connections.Add(1);
     conn->sink_->OnOpen(conn);
-    uint32_t events = EPOLLIN;
-    if (loop->options_.edge_triggered) {
-      events |= EPOLLET;
-    }
-    Status added = loop->backend_->Add(fd, events);
+    Status added = loop->Watch(EPOLL_CTL_ADD, fd, EPOLLIN);
     if (!added.ok()) {
       conn->CloseOnLoop(added);
       return;
@@ -837,7 +731,7 @@ Status Reactor::AddListener(UniqueFd listen_fd, std::function<void(UniqueFd)> on
     EventLoop::Listener listener;
     listener.fd = std::move(*listen_fd);
     listener.on_accept = std::move(on_accept);
-    Status added = loop->backend_->Add(fd, EPOLLIN);
+    Status added = loop->Watch(EPOLL_CTL_ADD, fd, EPOLLIN);
     if (!added.ok()) {
       RMP_LOG(kError) << "listener registration failed: " << added.ToString();
       return;

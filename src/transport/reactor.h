@@ -1,16 +1,13 @@
 // Event-driven transport core (DESIGN.md §13).
 //
-// A Reactor is a small fixed pool of event-loop threads — one poll instance
-// (epoll by default, io_uring behind the RMP_IO_URING build option) and one
-// eventfd per loop — that multiplexes every registered connection over
-// nonblocking sockets. This replaces the thread-per-session transport, whose
-// two I/O threads per connection plus per-session worker pools were a hard
-// wall at thousands of concurrent paging sessions.
+// A Reactor is a small fixed pool of event-loop threads — one level-triggered
+// epoll instance and one eventfd per loop — that multiplexes every registered
+// connection over nonblocking sockets. This replaces the thread-per-session
+// transport, whose two I/O threads per connection plus per-session worker
+// pools were a hard wall at thousands of concurrent paging sessions.
 //
 // Structure:
-//   PollBackend        — epoll (level- or edge-triggered) or io_uring
-//                        poll-add; the loop is backend-agnostic.
-//   EventLoop          — owns a backend, an eventfd for cross-thread task
+//   EventLoop          — owns an epoll fd, an eventfd for cross-thread task
 //                        submission, and the connections assigned to it. All
 //                        I/O for a connection happens on its loop thread.
 //   ReactorConnection  — one nonblocking socket: a resumable FrameReader for
@@ -50,7 +47,6 @@
 #include <vector>
 
 #include "src/proto/wire.h"
-#include "src/util/config.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
 
@@ -81,31 +77,16 @@ struct ReactorOptions {
   // Event-loop threads in the pool. The paper's 1-client/16-server testbed
   // needed none of this; thousands of sessions share these few loops.
   int loop_threads = 2;
-  // Level-triggered epoll by default; edge-triggered drains every socket to
-  // EAGAIN per event (fewer wakeups, but a flooding peer can hold the loop
-  // longer). The io_uring backend re-arms oneshot polls, which behaves
-  // level-triggered regardless.
-  bool edge_triggered = false;
-  // Try the io_uring backend (only built under -DRMP_IO_URING=ON); falls
-  // back to epoll when the kernel or seccomp policy refuses io_uring_setup.
-#ifdef RMP_IO_URING
-  bool use_io_uring = true;
-#else
-  bool use_io_uring = false;
-#endif
-  // Size of one pooled read-scratch buffer and how many the pool retains.
-  size_t read_chunk_bytes = 64 * 1024;
-  size_t pooled_read_buffers = 8;
-  // SO_SNDBUF for registered sockets (0 = kernel default). The default
-  // tcp_wmem of ~16KB EAGAINs after two 8KB pages, forcing the direct-write
-  // path through an EPOLLOUT round trip; 256KB absorbs a depth-16 pipelined
-  // burst of page replies without backpressure. Kernel memory is allocated
-  // lazily, so idle connections don't pay this.
-  int sndbuf_bytes = 256 * 1024;
 
-  // Keys: reactor.loop_threads, reactor.edge_triggered, reactor.io_uring,
-  // reactor.sndbuf_kb.
-  static Result<ReactorOptions> FromConfig(const Config& config);
+  // Size of one pooled read-scratch buffer and how many the pool retains.
+  static constexpr size_t kReadChunkBytes = 64 * 1024;
+  static constexpr size_t kPooledReadBuffers = 8;
+  // SO_SNDBUF for registered sockets. The default tcp_wmem of ~16KB EAGAINs
+  // after two 8KB pages, forcing the direct-write path through an EPOLLOUT
+  // round trip; 256KB absorbs a depth-16 pipelined burst of page replies
+  // without backpressure. Kernel memory is allocated lazily, so idle
+  // connections don't pay this.
+  static constexpr int kSndbufBytes = 256 * 1024;
 };
 
 // Registered, reusable scratch buffers. Loops borrow one per readable event
@@ -139,8 +120,6 @@ class BufferPool {
 
   Lease Acquire();
   size_t buffer_bytes() const { return buffer_bytes_; }
-  size_t pooled() const;
-  size_t total_created() const { return created_.load(std::memory_order_relaxed); }
 
  private:
   friend class Lease;
@@ -150,33 +129,7 @@ class BufferPool {
   const size_t max_pooled_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<uint8_t[]>> free_;
-  std::atomic<size_t> created_{0};
 };
-
-// One readiness notification. `events` uses the EPOLL* bit values.
-struct PollEvent {
-  int fd = -1;
-  uint32_t events = 0;
-};
-
-// Readiness-notification backend: epoll or io_uring. All calls are made from
-// the owning loop thread only.
-class PollBackend {
- public:
-  virtual ~PollBackend() = default;
-  virtual const char* name() const = 0;
-  virtual Status Add(int fd, uint32_t events) = 0;
-  virtual Status Mod(int fd, uint32_t events) = 0;
-  virtual void Del(int fd) = 0;
-  // Blocks until at least one event; returns the count (≤ max), 0 on EINTR,
-  // < 0 on an unrecoverable backend error.
-  virtual int Wait(PollEvent* out, int max) = 0;
-};
-
-std::unique_ptr<PollBackend> MakeEpollBackend();
-// nullptr when not built with RMP_IO_URING or when io_uring_setup fails at
-// runtime (old kernel, seccomp) — the caller falls back to epoll.
-std::unique_ptr<PollBackend> MakeIoUringBackend();
 
 class EventLoop;
 class Reactor;
@@ -232,9 +185,6 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
   // True once the connection stops accepting Sends.
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  // Frames accepted but not yet fully written (test/backpressure probe).
-  size_t queued_frames() const { return queued_frames_.load(std::memory_order_relaxed); }
-
   int fd() const { return fd_.get(); }
 
  private:
@@ -267,7 +217,6 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
   // recycled descriptor.
   UniqueFd fd_;
   std::atomic<bool> closed_{false};
-  std::atomic<size_t> queued_frames_{0};
 
   // Output state (mutex_-guarded, producers + flusher + loop).
   std::mutex mutex_;
@@ -285,12 +234,12 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
   bool closed_on_loop_ = false;
 };
 
-// One event-loop thread: a poll backend, an eventfd for cross-thread task
-// posting, and the connections + listeners assigned to this loop.
+// One event-loop thread: a level-triggered epoll instance, an eventfd for
+// cross-thread task posting, and the connections + listeners assigned to this
+// loop.
 class EventLoop {
  public:
-  EventLoop(int index, const ReactorOptions& options, BufferPool* pool,
-            const std::string& metric_prefix);
+  EventLoop(int index, BufferPool* pool, const std::string& metric_prefix);
   ~EventLoop();
 
   Status Start();
@@ -300,7 +249,6 @@ class EventLoop {
   // Tasks posted after StopAndJoin are silently dropped.
   void Post(std::function<void()> task);
   bool IsLoopThread() const { return std::this_thread::get_id() == thread_.get_id(); }
-  const char* backend_name() const { return backend_->name(); }
 
  private:
   friend class Reactor;
@@ -311,15 +259,19 @@ class EventLoop {
     std::function<void(UniqueFd)> on_accept;
   };
 
+  // epoll_ctl(op = EPOLL_CTL_ADD or EPOLL_CTL_MOD) on this loop's epoll fd.
+  // Called on the loop thread, or by Start before the thread runs.
+  Status Watch(int op, int fd, uint32_t events);
+  void Unwatch(int fd);
+
   void Run();
   void RunTasks();
   void AcceptReady(Listener* listener);
   void CloseAllOnLoop();
 
   const int index_;
-  const ReactorOptions options_;
   BufferPool* pool_;
-  std::unique_ptr<PollBackend> backend_;
+  UniqueFd epoll_fd_;
   UniqueFd wakeup_fd_;
   std::thread thread_;
 
@@ -364,12 +316,8 @@ class Reactor {
   void Stop();
 
   int loop_count() const { return static_cast<int>(loops_.size()); }
-  // Backend actually selected at runtime ("epoll" or "io_uring").
-  const char* backend_name() const { return loops_[0]->backend_name(); }
-  BufferPool& buffer_pool() { return pool_; }
 
  private:
-  ReactorOptions options_;
   BufferPool pool_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<size_t> next_loop_{0};

@@ -53,88 +53,6 @@ TrafficClass ClassifyMessage(MessageType type) {
   }
 }
 
-Result<SchedulerOptions> SchedulerOptions::FromConfig(const Config& config) {
-  SchedulerOptions options;
-  struct KeyMap {
-    const char* key;
-    int index;
-  };
-  const KeyMap keys[] = {
-      {"scheduler.weight_pagein", 0},
-      {"scheduler.weight_pageout", 1},
-      {"scheduler.weight_control", 2},
-      {"scheduler.weight_background", 3},
-  };
-  for (const auto& [key, index] : keys) {
-    auto weight = config.GetInt(key, options.weights[index]);
-    if (!weight.ok()) {
-      return weight.status();
-    }
-    if (*weight < 1 || *weight > 1024) {
-      return InvalidArgumentError(std::string(key) + " out of range [1, 1024]");
-    }
-    options.weights[index] = static_cast<int>(*weight);
-  }
-  auto lanes = config.GetInt("scheduler.lanes_per_session", options.lanes_per_session);
-  if (!lanes.ok()) {
-    return lanes.status();
-  }
-  if (*lanes < 1 || *lanes > 256) {
-    return InvalidArgumentError("scheduler.lanes_per_session out of range [1, 256]");
-  }
-  options.lanes_per_session = static_cast<int>(*lanes);
-  auto shed = config.GetInt("scheduler.shed_limit", options.shed_limit);
-  if (!shed.ok()) {
-    return shed.status();
-  }
-  if (*shed < 0 || *shed > (1 << 20)) {
-    return InvalidArgumentError("scheduler.shed_limit out of range [0, 1048576]");
-  }
-  options.shed_limit = static_cast<int>(*shed);
-  auto cap = config.GetInt("scheduler.tenant_queue_cap", options.tenant_queue_cap);
-  if (!cap.ok()) {
-    return cap.status();
-  }
-  if (*cap < 0 || *cap > (1 << 20)) {
-    return InvalidArgumentError("scheduler.tenant_queue_cap out of range [0, 1048576]");
-  }
-  options.tenant_queue_cap = static_cast<int>(*cap);
-  // tenant.<id>.weight rows; the other tenant.* keys belong to the server's
-  // quota policy (ApplyTenantConfig) and are ignored here.
-  for (const std::string& key : config.Keys()) {
-    if (key.rfind("tenant.", 0) != 0) {
-      continue;
-    }
-    const std::string rest = key.substr(7);
-    const size_t dot = rest.find('.');
-    if (dot == std::string::npos || rest.substr(dot + 1) != "weight") {
-      continue;
-    }
-    uint64_t id = 0;
-    bool digits = dot > 0;
-    for (size_t i = 0; i < dot && digits; ++i) {
-      const char ch = rest[i];
-      digits = ch >= '0' && ch <= '9';
-      if (digits) {
-        id = id * 10 + static_cast<uint64_t>(ch - '0');
-        digits = id <= kMaxTenantId;
-      }
-    }
-    if (!digits || id == 0) {
-      return InvalidArgumentError("malformed tenant id in key: " + key);
-    }
-    auto weight = config.GetInt(key, options.default_tenant_weight);
-    if (!weight.ok()) {
-      return weight.status();
-    }
-    if (*weight < 1 || *weight > 1024) {
-      return InvalidArgumentError(key + " out of range [1, 1024]");
-    }
-    options.tenant_weights.emplace_back(static_cast<uint16_t>(id), static_cast<int>(*weight));
-  }
-  return options;
-}
-
 FairShareScheduler::FairShareScheduler(SchedulerOptions options,
                                        const std::string& metric_prefix)
     : options_(options),
@@ -157,7 +75,7 @@ FairShareScheduler::TenantQueue* FairShareScheduler::TenantQueueLocked(uint16_t 
   }
   auto queue = std::make_unique<TenantQueue>();
   queue->id = tenant;
-  queue->weight = std::max(1, options_.default_tenant_weight);
+  queue->weight = SchedulerOptions::kDefaultTenantWeight;
   for (const auto& [id, weight] : options_.tenant_weights) {
     if (id == tenant) {
       queue->weight = std::max(1, weight);
@@ -166,7 +84,7 @@ FairShareScheduler::TenantQueue* FairShareScheduler::TenantQueueLocked(uint16_t 
   }
   queue->credit = queue->weight;
   for (int c = 0; c < kTrafficClasses; ++c) {
-    queue->class_credits[c] = options_.weights[c];
+    queue->class_credits[c] = SchedulerOptions::kClassWeights[c];
   }
   tenant_index_.emplace(tenant, tenants_.size());
   tenants_.push_back(std::move(queue));
@@ -387,7 +305,7 @@ int FairShareScheduler::PickClassLocked(TenantQueue* tenant) {
       }
     }
     for (int c = 0; c < kTrafficClasses; ++c) {
-      tenant->class_credits[c] = options_.weights[c];
+      tenant->class_credits[c] = SchedulerOptions::kClassWeights[c];
     }
   }
   return -1;  // No runnable lane at all.

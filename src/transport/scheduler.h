@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "src/proto/wire.h"
-#include "src/util/config.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
 
@@ -67,20 +66,20 @@ std::string_view TrafficClassName(TrafficClass c);
 TrafficClass ClassifyMessage(MessageType type);
 
 struct SchedulerOptions {
-  // Weighted-round-robin credits per refill, indexed by TrafficClass.
-  // Defaults 8:4:2:1 — under full contention foreground pagein gets ~53% of
-  // dispatch slots, background ~7%.
-  int weights[kTrafficClasses] = {8, 4, 2, 1};
+  // Weighted-round-robin credits per refill, indexed by TrafficClass: 8:4:2:1
+  // — under full contention foreground pagein gets ~53% of dispatch slots,
+  // background ~7%.
+  static constexpr int kClassWeights[kTrafficClasses] = {8, 4, 2, 1};
   // Ordering lanes per session (lane = slot % lanes_per_session). 1 = strict
   // per-session FIFO; >1 allows same-session parallelism across slots.
   int lanes_per_session = 8;
 
   // --- Tenant WFQ + shedding (DESIGN.md §15) ------------------------------
   // Per-tenant dispatch weights (id → weight); tenants without a row (and
-  // tenant 0) weigh default_tenant_weight. Ratios, not priorities: every
+  // tenant 0) weigh kDefaultTenantWeight. Ratios, not priorities: every
   // tenant keeps draining under contention.
   std::vector<std::pair<uint16_t, int>> tenant_weights;
-  int default_tenant_weight = 1;
+  static constexpr int kDefaultTenantWeight = 1;
   // Overload shedding. 0 = never shed. With a limit S, background submits
   // are shed once the total backlog reaches S and pageout-class submits once
   // it reaches 2·S; pagein and control traffic is never shed.
@@ -88,12 +87,6 @@ struct SchedulerOptions {
   // Per-tenant backlog cap for sheddable (pageout/background) submits;
   // 0 = uncapped. Bounds the queue memory one flooding tenant can pin.
   int tenant_queue_cap = 0;
-
-  // Keys: scheduler.weight_pagein, scheduler.weight_pageout,
-  // scheduler.weight_control, scheduler.weight_background,
-  // scheduler.lanes_per_session, scheduler.shed_limit,
-  // scheduler.tenant_queue_cap, tenant.<id>.weight.
-  static Result<SchedulerOptions> FromConfig(const Config& config);
 };
 
 // Outcome of SubmitEx. kRejected = dead session or stopped scheduler (the

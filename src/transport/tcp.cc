@@ -68,21 +68,6 @@ Status RecvExact(int fd, uint8_t* buf, size_t len) {
 
 }  // namespace
 
-Status SendAll(int fd, std::span<const uint8_t> bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return ErrnoError("send");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
-
 Status SendFrame(int fd, const Message& message) {
   uint8_t prefix[kWirePrefixSize];
   EncodeHeader(message, PayloadCrc(std::span<const uint8_t>(message.payload)), prefix);
@@ -350,38 +335,6 @@ size_t TcpTransport::inflight() const { return demux_->inflight(); }
 
 // --- TcpServer --------------------------------------------------------------
 
-Result<TcpServerOptions> TcpServerOptions::FromConfig(const Config& config) {
-  TcpServerOptions options;
-  auto reactor = ReactorOptions::FromConfig(config);
-  if (!reactor.ok()) {
-    return reactor.status();
-  }
-  options.reactor = *reactor;
-  auto scheduler = SchedulerOptions::FromConfig(config);
-  if (!scheduler.ok()) {
-    return scheduler.status();
-  }
-  options.scheduler = *scheduler;
-  auto workers = config.GetInt("tcp.service_workers", options.service_workers);
-  if (!workers.ok()) {
-    return workers.status();
-  }
-  if (*workers < 1 || *workers > 1024) {
-    return InvalidArgumentError("tcp.service_workers out of range [1, 1024]");
-  }
-  options.service_workers = static_cast<int>(*workers);
-  auto backlog = config.GetInt("tcp.listen_backlog", options.listen_backlog);
-  if (!backlog.ok()) {
-    return backlog.status();
-  }
-  if (*backlog < 1) {
-    return InvalidArgumentError("tcp.listen_backlog must be positive");
-  }
-  options.listen_backlog = static_cast<int>(*backlog);
-  options.required_token = config.GetString("tcp.required_token", options.required_token);
-  return options;
-}
-
 // Per-connection server state: the handler, the auth gate, and the scheduler
 // session. All FrameSink callbacks run on the connection's loop thread; the
 // service workers touch only handler() and SendReply(), both safe after the
@@ -544,7 +497,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(uint16_t port, HandlerFactor
   if (::bind(listen_fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return ErrnoError("bind");
   }
-  if (::listen(listen_fd.get(), options.listen_backlog) != 0) {
+  if (::listen(listen_fd.get(), TcpServerOptions::kListenBacklog) != 0) {
     return ErrnoError("listen");
   }
   socklen_t len = sizeof(addr);

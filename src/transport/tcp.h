@@ -44,11 +44,9 @@
 
 namespace rmp {
 
-// Writes all of `bytes` to `fd`, retrying short writes. Returns IoError on
-// failure (EPIPE after a peer crash surfaces here). Blocking-socket helper
-// for tools and tests; the transports themselves go through the reactor.
-Status SendAll(int fd, std::span<const uint8_t> bytes);
-
+// Blocking-socket helpers for tools and tests; the transports themselves go
+// through the reactor.
+//
 // Frames `message` onto `fd` with one sendmsg: a stack-allocated header iovec
 // plus the payload iovec straight out of Message::payload (zero-copy).
 Status SendFrame(int fd, const Message& message);
@@ -109,9 +107,8 @@ class TcpTransport final : public Transport {
   uint16_t tenant_ = 0;  // Stamped onto untagged requests; immutable.
 };
 
-// Server-side tuning. The defaults reproduce the paper-scale testbed; the
-// config keys let deployments scale the loop pool and skew the fair-share
-// weights without a rebuild.
+// Server-side tuning, set in code (no config keys read these). The defaults
+// reproduce the paper-scale testbed.
 struct TcpServerOptions {
   std::string required_token;  // Empty = open server.
   // Threads servicing requests. Loop threads run a handler only when the
@@ -122,13 +119,10 @@ struct TcpServerOptions {
   // futex wake/park round per dispatch (measured ~6% of depth-16 pipelined
   // throughput at 16 workers on one core).
   int service_workers = 8;
-  int listen_backlog = 1024;
   ReactorOptions reactor;
   SchedulerOptions scheduler;
 
-  // Reads reactor.*, scheduler.*, plus tcp.service_workers and
-  // tcp.listen_backlog.
-  static Result<TcpServerOptions> FromConfig(const Config& config);
+  static constexpr int kListenBacklog = 1024;
 };
 
 // Reactor-backed server: one accept listener + N event loops + a fair-share
@@ -169,8 +163,6 @@ class TcpServer {
 
   // Scheduler introspection (per-class served counts in tests).
   const FairShareScheduler& scheduler() const { return *scheduler_; }
-  // Poll backend actually selected at runtime ("epoll" or "io_uring").
-  const char* backend_name() const { return reactor_->backend_name(); }
 
   // Stops accepting, closes every session, joins the loop and worker
   // threads. Idempotent.

@@ -282,7 +282,8 @@ TEST(TenantTest, ApplyTenantConfigRejectsHostileKeys) {
   for (const char* text : {"tenant.0.quota_pages = 8\n",   // The legacy lane.
                            "tenant.7.mystery = 1\n",       // Unknown field.
                            "tenant.999999.quota_pages = 1\n",  // Past kMaxTenantId.
-                           "tenant.7x.quota_pages = 1\n"}) {   // Non-numeric id.
+                           "tenant.7x.quota_pages = 1\n",   // Non-numeric id.
+                           "tenant.7.weight = 4\n"}) {     // Nothing reads it.
     auto config = Config::Parse(text);
     ASSERT_TRUE(config.ok());
     EXPECT_FALSE(ApplyTenantConfig(*config, &params).ok()) << text;
