@@ -149,7 +149,7 @@ RpcFuture ServerPeer::StartPageOut(uint64_t slot, std::span<const uint8_t> page)
 }
 
 Result<bool> ServerPeer::JoinPageOut(RpcFuture future) {
-  auto reply = future.Wait();
+  const auto& reply = future.Wait();
   if (!reply.ok()) {
     mark_dead();
     return reply.status();
@@ -179,7 +179,7 @@ Status ServerPeer::JoinPageIn(RpcFuture future, std::span<uint8_t> out) {
   if (out.size() != kPageSize) {
     return InvalidArgumentError("pagein target must be kPageSize");
   }
-  auto reply = future.Wait();
+  const auto& reply = future.Wait();
   if (!reply.ok()) {
     mark_dead();
     return reply.status();
@@ -211,7 +211,7 @@ RpcFuture ServerPeer::StartPageOutBatch(std::span<const uint64_t> slots,
 }
 
 Result<bool> ServerPeer::JoinPageOutBatch(RpcFuture future, uint64_t expected) {
-  auto reply = future.Wait();
+  const auto& reply = future.Wait();
   if (!reply.ok()) {
     mark_dead();
     return reply.status();
@@ -247,7 +247,7 @@ Status ServerPeer::JoinPageInBatch(RpcFuture future, uint64_t expected, std::spa
   if (out.size() != expected * kPageSize) {
     return InvalidArgumentError("batch pagein target must be expected * kPageSize");
   }
-  auto reply = future.Wait();
+  const auto& reply = future.Wait();
   if (!reply.ok()) {
     mark_dead();
     return reply.status();

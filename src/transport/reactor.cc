@@ -1,6 +1,7 @@
 #include "src/transport/reactor.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -307,11 +308,30 @@ void ReactorConnection::DoFlush() {
   }
 }
 
-void ReactorConnection::ArmWriteOnLoop() {
-  if (closed_on_loop_ || !in_poll_) {
-    return;
+uint32_t ReactorConnection::InterestLocked() const {
+  uint32_t events = 0;
+  if (read_role_ != ReadRole::kCaller) {
+    events |= EPOLLIN;
   }
-  Status status = loop_->Watch(EPOLL_CTL_MOD, fd_.get(), EPOLLIN | EPOLLOUT);
+  if (want_write_) {
+    events |= EPOLLOUT;
+  }
+  return events;
+}
+
+Status ReactorConnection::SetInterestLocked() {
+  if (!watched_) {
+    return OkStatus();
+  }
+  return loop_->Watch(EPOLL_CTL_MOD, fd_.get(), InterestLocked());
+}
+
+void ReactorConnection::ArmWriteOnLoop() {
+  Status status;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    status = SetInterestLocked();
+  }
   if (!status.ok()) {
     CloseOnLoop(status);
   }
@@ -322,22 +342,19 @@ void ReactorConnection::HandleWritable() {
     return;
   }
   bool take = false;
+  Status status;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     want_write_ = false;
-    if (!flushing_) {
+    // Disarm EPOLLOUT before flushing: level-triggered OUT on a writable
+    // socket would spin the loop otherwise. A renewed EAGAIN re-arms it.
+    status = SetInterestLocked();
+    if (status.ok() && !flushing_) {
       flushing_ = true;
       take = true;
     }
   }
-  // Disarm EPOLLOUT before flushing: level-triggered OUT on a writable
-  // socket would spin the loop otherwise. A renewed EAGAIN re-arms it.
-  Status status = loop_->Watch(EPOLL_CTL_MOD, fd_.get(), EPOLLIN);
   if (!status.ok()) {
-    if (take) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      flushing_ = false;
-    }
     CloseOnLoop(status);
     return;
   }
@@ -347,87 +364,166 @@ void ReactorConnection::HandleWritable() {
 }
 
 void ReactorConnection::HandleReadable() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (read_role_ != ReadRole::kNone) {
+      return;  // A caller is reading this data on its own thread.
+    }
+    read_role_ = ReadRole::kLoop;
+  }
+  // Hold the sink across the reads: a sink that closes us mid-batch must
+  // not be freed under its own OnFrame.
+  std::shared_ptr<FrameSink> sink = sink_;
+  Status status = ReadOnLoop(*sink);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    read_role_ = ReadRole::kNone;
+  }
+  if (!status.ok()) {
+    CloseOnLoop(status);
+  }
+}
+
+Status ReactorConnection::ReadOnLoop(FrameSink& sink) {
   BufferPool::Lease lease = loop_->pool_->Acquire();
   for (int round = 0; round < kReadRounds; ++round) {
     const ssize_t n = ::recv(fd_.get(), lease.data(), lease.size(), 0);
     if (n > 0) {
       Metrics().bytes_received.Increment(n);
       const bool read_full = static_cast<size_t>(n) == lease.size();
-      std::span<const uint8_t> chunk(lease.data(), static_cast<size_t>(n));
-      // Resume a partial frame through the buffering FrameReader first; its
-      // hostile-length check (payload_len bound before any buffering) is the
-      // wire-safety gate for the slow path.
-      if (reader_.buffered_bytes() > 0) {
-        reader_.Feed(chunk);
-        chunk = {};
-        for (;;) {
-          auto frame = reader_.Next();
-          if (!frame.ok()) {
-            if (frame.status().code() == ErrorCode::kNotFound) {
-              break;  // Partial frame; resume on the next readable event.
-            }
-            // Hostile length / bad magic / CRC mismatch: drop the stream.
-            CloseOnLoop(frame.status());
-            return;
-          }
-          Metrics().frames_received.Increment();
-          sink_->OnFrame(std::move(*frame), read_full || reader_.buffered_bytes() > 0);
-          if (closed_on_loop_) {
-            return;  // The sink closed us mid-batch.
-          }
-        }
+      Status status = Dispatch(sink, std::span<const uint8_t>(lease.data(), static_cast<size_t>(n)),
+                               read_full, closed_on_loop_);
+      if (!status.ok()) {
+        return status;
       }
-      // Fast path: decode complete frames straight out of the scratch
-      // buffer, skipping the FrameReader copy; only a trailing partial
-      // frame is buffered. DecodeHeader performs the same magic / reserved
-      // field / payload-bound validation the FrameReader path applies.
-      while (chunk.size() >= kWirePrefixSize) {
-        auto header = DecodeHeader(chunk.subspan(0, kWirePrefixSize));
-        if (!header.ok()) {
-          CloseOnLoop(header.status());
-          return;
-        }
-        const size_t total = kWirePrefixSize + header->payload_len;
-        if (chunk.size() < total) {
-          break;
-        }
-        Message frame = MessageFromHeader(*header);
-        if (header->payload_len > 0) {
-          frame.payload.assign(chunk.data() + kWirePrefixSize, chunk.data() + total);
-        }
-        if (PayloadCrc(std::span<const uint8_t>(frame.payload)) != header->payload_crc) {
-          CloseOnLoop(CorruptionError("payload CRC mismatch"));
-          return;
-        }
-        Metrics().frames_received.Increment();
-        sink_->OnFrame(std::move(frame), read_full || chunk.size() > total);
-        if (closed_on_loop_) {
-          return;
-        }
-        chunk = chunk.subspan(total);
-      }
-      if (!chunk.empty()) {
-        reader_.Feed(chunk);
-      }
-      if (!read_full) {
-        return;  // Likely drained; level-triggered poll re-fires otherwise.
+      if (closed_on_loop_ || !read_full) {
+        // Closed by the sink, or likely drained; level-triggered poll
+        // re-fires otherwise.
+        return OkStatus();
       }
       continue;
     }
     if (n == 0) {
-      CloseOnLoop(UnavailableError("peer closed connection"));
-      return;
+      return UnavailableError("peer closed connection");
     }
     if (errno == EINTR) {
       --round;
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return;
+      return OkStatus();
     }
-    CloseOnLoop(ErrnoError("recv"));
-    return;
+    return ErrnoError("recv");
   }
+  return OkStatus();
+}
+
+Status ReactorConnection::Dispatch(FrameSink& sink, std::span<const uint8_t> chunk,
+                                   bool read_full, const bool& stop) {
+  // Resume a partial frame through the buffering FrameReader first; its
+  // hostile-length check (payload_len bound before any buffering) is the
+  // wire-safety gate for the slow path.
+  if (reader_.buffered_bytes() > 0) {
+    reader_.Feed(chunk);
+    chunk = {};
+    for (;;) {
+      auto frame = reader_.Next();
+      if (!frame.ok()) {
+        if (frame.status().code() == ErrorCode::kNotFound) {
+          break;  // Partial frame; resume on the next read.
+        }
+        return frame.status();  // Hostile length / bad magic / CRC mismatch.
+      }
+      Metrics().frames_received.Increment();
+      sink.OnFrame(std::move(*frame), read_full || reader_.buffered_bytes() > 0);
+      if (stop) {
+        return OkStatus();
+      }
+    }
+  }
+  // Fast path: decode complete frames straight out of the scratch buffer,
+  // skipping the FrameReader copy; only a trailing partial frame is
+  // buffered. DecodeHeader performs the same magic / reserved field /
+  // payload-bound validation the FrameReader path applies.
+  while (chunk.size() >= kWirePrefixSize) {
+    auto header = DecodeHeader(chunk.subspan(0, kWirePrefixSize));
+    if (!header.ok()) {
+      return header.status();
+    }
+    const size_t total = kWirePrefixSize + header->payload_len;
+    if (chunk.size() < total) {
+      break;
+    }
+    Message frame = MessageFromHeader(*header);
+    if (header->payload_len > 0) {
+      frame.payload.assign(chunk.data() + kWirePrefixSize, chunk.data() + total);
+    }
+    if (PayloadCrc(std::span<const uint8_t>(frame.payload)) != header->payload_crc) {
+      return CorruptionError("payload CRC mismatch");
+    }
+    Metrics().frames_received.Increment();
+    sink.OnFrame(std::move(frame), read_full || chunk.size() > total);
+    if (stop) {
+      return OkStatus();
+    }
+    chunk = chunk.subspan(total);
+  }
+  if (!chunk.empty()) {
+    reader_.Feed(chunk);
+  }
+  return OkStatus();
+}
+
+bool ReactorConnection::ReadOnCaller(const std::function<bool()>& done) {
+  std::shared_ptr<FrameSink> sink;
+  Status status;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (read_role_ != ReadRole::kNone || !watched_ || sink_ == nullptr ||
+        closed_.load(std::memory_order_relaxed) || loop_->IsLoopThread()) {
+      return false;
+    }
+    read_role_ = ReadRole::kCaller;
+    status = SetInterestLocked();
+    if (!status.ok()) {
+      read_role_ = ReadRole::kNone;
+    }
+    sink = sink_;  // CloseOnLoop may move sink_ out while we read.
+  }
+  if (!status.ok()) {
+    Close(status);
+    return false;
+  }
+  BufferPool::Lease lease = loop_->pool_->Acquire();
+  const bool never = false;  // Dispatch's `stop`: only the loop closes mid-dispatch.
+  while (status.ok() && !done()) {
+    const ssize_t n = ::recv(fd_.get(), lease.data(), lease.size(), MSG_DONTWAIT);
+    if (n > 0) {
+      Metrics().bytes_received.Increment(n);
+      status = Dispatch(*sink, std::span<const uint8_t>(lease.data(), static_cast<size_t>(n)),
+                        static_cast<size_t>(n) == lease.size(), never);
+    } else if (n == 0) {
+      status = UnavailableError("peer closed connection");
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // A local close shuts the socket down, which wakes this poll too.
+      pollfd pfd{fd_.get(), POLLIN, 0};
+      (void)::poll(&pfd, 1, -1);
+    } else if (errno != EINTR) {
+      status = ErrnoError("recv");
+    }
+  }
+  if (!status.ok()) {
+    Close(status);  // Before the hand-back, so no one claims a dead stream.
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    read_role_ = ReadRole::kNone;
+    status = SetInterestLocked();  // The loop reads whatever is left.
+  }
+  if (!status.ok()) {
+    Close(status);
+  }
+  return true;
 }
 
 void ReactorConnection::CloseOnLoop(const Status& reason) {
@@ -436,6 +532,10 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
   }
   closed_on_loop_ = true;
   std::deque<OutFrame> dropped;
+  // Release the sink after the callback: breaks the conn↔sink ownership
+  // cycle so sessions free as soon as their owner lets go. A caller reading
+  // on its own thread holds its own reference.
+  std::shared_ptr<FrameSink> sink;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_.store(true, std::memory_order_release);
@@ -447,10 +547,11 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
       // iovecs dangling).
       dropped.swap(outq_);
     }
-  }
-  if (in_poll_) {
-    loop_->Unwatch(fd_.get());
-    in_poll_ = false;
+    if (watched_) {
+      loop_->Unwatch(fd_.get());
+      watched_ = false;
+    }
+    sink = std::move(sink_);
   }
   loop_->conns_.erase(fd_.get());
   // Shutdown, don't close: the fd stays allocated until the connection
@@ -458,9 +559,6 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
   // descriptor (its sendmsg just fails with EPIPE).
   ::shutdown(fd_.get(), SHUT_RDWR);
   Metrics().connections.Add(-1);
-  // Release the sink after the callback: breaks the conn↔sink ownership
-  // cycle so sessions free as soon as their owner lets go.
-  std::shared_ptr<FrameSink> sink = std::move(sink_);
   if (sink != nullptr) {
     sink->OnClose(reason);
   }
@@ -705,12 +803,15 @@ std::shared_ptr<ReactorConnection> Reactor::Register(UniqueFd fd,
     loop->conns_[fd] = conn;
     Metrics().connections.Add(1);
     conn->sink_->OnOpen(conn);
-    Status added = loop->Watch(EPOLL_CTL_ADD, fd, EPOLLIN);
+    Status added;
+    {
+      std::lock_guard<std::mutex> lock(conn->mutex_);
+      added = loop->Watch(EPOLL_CTL_ADD, fd, conn->InterestLocked());
+      conn->watched_ = added.ok();
+    }
     if (!added.ok()) {
       conn->CloseOnLoop(added);
-      return;
     }
-    conn->in_poll_ = true;
   });
   return conn;
 }

@@ -15,19 +15,24 @@
 //                        FrameReader::Next are the wire-safety gate), a
 //                        partial-write resumable output queue flushed with
 //                        scatter-gather writev (header iovec + payload iovec,
-//                        zero-copy), and thread-safe Send from any thread.
+//                        zero-copy), thread-safe Send from any thread, and a
+//                        read role that a blocked caller can take from the
+//                        loop (ReadOnCaller).
 //   BufferPool         — registered, reusable read-scratch buffers shared by
-//                        the loops, so 10k idle connections do not each pin a
-//                        64 KB receive buffer.
+//                        the loops and reading callers, so 10k idle
+//                        connections do not each pin a 64 KB receive buffer.
 //   Reactor            — the loop pool. Connections are assigned round-robin;
 //                        Reactor::Shared() is the process-wide client-side
 //                        instance (TcpTransport registers there).
 //
-// Threading contract: OnOpen/OnFrame/OnClose fire on the connection's loop
-// thread, never concurrently with each other. Send/Close are safe from any
-// thread. Loop threads never block on user work — anything that can block
-// (a service delay, disk) belongs on the FairShareScheduler's workers
-// (scheduler.h), not in a FrameSink callback. A sink may run short,
+// Threading contract: OnOpen and OnClose fire on the connection's loop
+// thread. OnFrame runs on whichever thread holds the connection's read role —
+// the loop, or a caller blocked in ReadOnCaller — and never concurrently with
+// another OnFrame of the same connection. OnClose can overlap an OnFrame
+// running on a caller thread, so a sink that is read by callers locks its own
+// state. Send/Close are safe from any thread. Loop threads never block on
+// user work — anything that can block (a service delay, disk) belongs on the
+// FairShareScheduler's workers (scheduler.h), not in a FrameSink callback. A sink may run short,
 // non-blocking work to completion on the loop (TcpServer does when its
 // scheduler is idle); OnFrame's `more` flag tells it when a burst is still
 // being decoded, so it can queue instead and let the burst spread.
@@ -41,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -135,8 +141,8 @@ class EventLoop;
 class Reactor;
 class ReactorConnection;
 
-// Decoded-frame and lifecycle callbacks for one connection, invoked on the
-// connection's loop thread (never concurrently with each other).
+// Decoded-frame and lifecycle callbacks for one connection (see the threading
+// contract above for which thread runs each).
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -151,12 +157,12 @@ class FrameSink {
 
 // One nonblocking socket owned by an event loop.
 //
-// Reads always happen on the loop thread. Writes use a direct path: the
-// thread calling Send flushes the output queue itself (scatter-gather
-// sendmsg on the nonblocking socket) when it can take the single-flusher
-// role, so the common uncongested send costs no cross-thread hop; only when
-// the socket back-pressures (EAGAIN) does the connection arm EPOLLOUT and
-// hand the remainder to the event loop.
+// Reads happen on the loop thread unless a caller has taken the read role
+// (ReadOnCaller). Writes use a direct path: the thread calling Send flushes
+// the output queue itself (scatter-gather sendmsg on the nonblocking socket)
+// when it can take the single-flusher role, so the common uncongested send
+// costs no cross-thread hop; only when the socket back-pressures (EAGAIN)
+// does the connection arm EPOLLOUT and hand the remainder to the event loop.
 class ReactorConnection : public std::enable_shared_from_this<ReactorConnection> {
  public:
   // Queues a frame for transmission. Thread-safe; returns false when the
@@ -187,6 +193,19 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
 
   int fd() const { return fd_.get(); }
 
+  // Run to completion on the client (DESIGN.md §13): takes the read role
+  // from the event loop and reads and dispatches frames on this thread until
+  // `done()` is true, then hands the role back. Frames for other waiters go
+  // through the same sink, so they complete too. While the role is held the
+  // fd's epoll interest drops EPOLLIN, so the loop is not woken for data
+  // this thread reads. Returns false at once, having read nothing, when the
+  // role is busy (the loop or another caller is reading), the connection is
+  // not registered yet or is closed, or this is the connection's own loop
+  // thread (which must never block in a read). A hangup or stream error
+  // gives the role back and closes the connection (Close, so OnClose fires
+  // once on the loop).
+  bool ReadOnCaller(const std::function<bool()>& done);
+
  private:
   friend class EventLoop;
   friend class Reactor;
@@ -206,9 +225,26 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
 
   // Loop-thread-only handlers.
   void HandleReadable();
+  Status ReadOnLoop(FrameSink& sink);
   void HandleWritable();
   void ArmWriteOnLoop();
   void CloseOnLoop(const Status& reason);
+
+  // The one frame decoder, run by the read-role holder: delivers every
+  // complete frame of `chunk` (after any partial frame buffered in reader_)
+  // to sink.OnFrame and buffers a trailing partial frame. Returns early, OK,
+  // once `stop` turns true after an OnFrame. A non-OK status (hostile
+  // length, bad magic, CRC mismatch) means the stream is unusable.
+  Status Dispatch(FrameSink& sink, std::span<const uint8_t> chunk, bool read_full,
+                  const bool& stop);
+
+  // The fd's epoll interest: EPOLLIN unless a caller holds the read role,
+  // EPOLLOUT while a flush waits for socket space. mutex_ held.
+  uint32_t InterestLocked() const;
+  // Writes InterestLocked() to epoll when the fd is watched. mutex_ held.
+  Status SetInterestLocked();
+
+  enum class ReadRole { kNone, kLoop, kCaller };
 
   EventLoop* loop_;
 
@@ -226,11 +262,17 @@ class ReactorConnection : public std::enable_shared_from_this<ReactorConnection>
   bool closing_after_flush_ = false;
   bool close_posted_ = false;
   Status deferred_close_reason_;
+  // Read and interest state (mutex_-guarded, loop + reading callers).
+  ReadRole read_role_ = ReadRole::kNone;  // Who may touch reader_.
+  bool watched_ = false;  // In the loop's epoll set: from Register's ADD to CloseOnLoop.
+
+  // Written only on the loop, under mutex_ (CloseOnLoop moves it out); the
+  // loop reads it unlocked, a caller copies it under mutex_ when it claims
+  // the read role.
+  std::shared_ptr<FrameSink> sink_;
+  FrameReader reader_;  // Resumable partial-read state; read-role holder only.
 
   // Loop-thread-only state.
-  std::shared_ptr<FrameSink> sink_;
-  FrameReader reader_;  // Resumable partial-read codec state.
-  bool in_poll_ = false;
   bool closed_on_loop_ = false;
 };
 
@@ -260,7 +302,8 @@ class EventLoop {
   };
 
   // epoll_ctl(op = EPOLL_CTL_ADD or EPOLL_CTL_MOD) on this loop's epoll fd.
-  // Called on the loop thread, or by Start before the thread runs.
+  // Called on the loop thread, by Start before the thread runs, or by a
+  // caller taking or returning a connection's read role (under its mutex_).
   Status Watch(int op, int fd, uint32_t events);
   void Unwatch(int fd);
 

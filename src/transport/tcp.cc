@@ -130,28 +130,28 @@ Result<Message> ReadFrame(int fd) {
 
 // The client connection's FrameSink: a request_id → future map plus the
 // bounded-submission accounting. Producers run CallAsync from arbitrary
-// threads; OnFrame/OnClose run on the connection's loop thread. The demux
-// outlives the TcpTransport if the loop still holds the sink when the
-// transport is destroyed, hence the shared_ptr split.
+// threads; OnFrame runs on whichever thread holds the read role (the loop or
+// a caller blocked in Wait), OnClose on the loop, so all state is under
+// mutex_. The demux outlives the TcpTransport if the loop still holds the
+// sink when the transport is destroyed, hence the shared_ptr split.
 class TcpTransport::Demux final : public FrameSink {
  public:
   RpcFuture Submit(const std::shared_ptr<ReactorConnection>& conn, Message request,
                    std::shared_ptr<Demux> self) {
     auto state = TcpTransport::NewFutureState();
+    state->conn = conn;  // Wait() may read the reply off this connection itself.
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (stopping_) {
-        return RpcFuture::MakeReady(UnavailableError("transport closed"));
-      }
-      if (pending_.count(request.request_id) > 0) {
-        return RpcFuture::MakeReady(InvalidArgumentError(
-            "request_id " + std::to_string(request.request_id) + " already in flight"));
-      }
       space_cv_.wait(lock, [this] { return stopping_ || unsent_ < kMaxQueuedSends; });
       if (stopping_) {
         return RpcFuture::MakeReady(UnavailableError("transport closed"));
       }
-      pending_.emplace(request.request_id, state);
+      // Checked after the wait, which drops the lock: a duplicate submitted
+      // meanwhile must not be sent with no future to complete.
+      if (!pending_.try_emplace(request.request_id, state).second) {
+        return RpcFuture::MakeReady(InvalidArgumentError(
+            "request_id " + std::to_string(request.request_id) + " already in flight"));
+      }
       unsent_ += 1;
       TcpMetrics().inflight_rpcs.Add(1);
       TcpMetrics().send_queue_depth.Add(1);
@@ -213,7 +213,7 @@ class TcpTransport::Demux final : public FrameSink {
     return pending_.size();
   }
 
-  // FrameSink (loop thread).
+  // FrameSink.
   void OnFrame(Message frame, bool /*more*/) override {
     TcpMetrics().frames_received.Increment();
     std::shared_ptr<RpcFuture::State> state;

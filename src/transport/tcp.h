@@ -19,11 +19,7 @@
 // — the pipelined client demultiplexes them by request_id. Same-slot
 // requests of a session stay ordered (they share a scheduler lane).
 //
-// TcpTransport is the client half. CallAsync registers the future, queues
-// the frame on the connection's reactor output queue (bounded: kMaxQueuedSends
-// frames not yet on the wire block further submissions — backpressure toward
-// the paging policies), and the reactor completes the matching future when
-// the reply frame arrives. Call() is CallAsync().Wait().
+// TcpTransport is the client half; see its class comment.
 
 #ifndef SRC_TRANSPORT_TCP_H_
 #define SRC_TRANSPORT_TCP_H_
@@ -55,6 +51,19 @@ Status SendFrame(int fd, const Message& message);
 // directly into Message::payload. UnavailableError on EOF.
 Result<Message> ReadFrame(int fd);
 
+// The client end of one connection to a TcpServer, registered on the
+// process-wide client reactor. CallAsync registers a future under the
+// request's id and writes the frame on the calling thread (the reactor's
+// direct-write path); at most kMaxQueuedSends frames may wait for the wire
+// before further submissions block, which is the backpressure toward the
+// paging policies. Replies are matched to futures by request_id, in any
+// order. Whoever holds the connection's read role decodes them: a thread
+// blocked in RpcFuture::Wait() when no one else is reading takes the role
+// and reads until its own reply is in (run to completion, DESIGN.md §13), so
+// a depth-1 caller is woken by the kernel, not by a loop thread. Replies no
+// one is waiting for — pipelined futures polled with ready(), a straggler
+// after its caller moved on — are read by the event loop. Call() is
+// CallAsync().Wait().
 class TcpTransport final : public Transport {
  public:
   // Frames the connection will buffer before CallAsync blocks for space

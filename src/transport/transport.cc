@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "src/transport/reactor.h"
+
 namespace rmp {
 
 RpcFuture RpcFuture::MakeReady(Result<Message> result) {
@@ -18,12 +20,22 @@ bool RpcFuture::ready() const {
   return state_->result.has_value();
 }
 
-Result<Message> RpcFuture::Wait() {
+const Result<Message>& RpcFuture::Wait() {
   if (state_ == nullptr) {
-    return InternalError("Wait() on an invalid RpcFuture");
+    static const Result<Message> invalid = InternalError("Wait() on an invalid RpcFuture");
+    return invalid;
+  }
+  if (!ready()) {
+    // Run to completion: read our own reply when no one else is reading.
+    // Falls through at once when the loop or another waiter holds the role.
+    if (std::shared_ptr<ReactorConnection> conn = state_->conn.lock()) {
+      conn->ReadOnCaller([this] { return ready(); });
+    }
   }
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->result.has_value(); });
+  // The result is set once and never changed, so the reference outlives the
+  // lock.
   return *state_->result;
 }
 

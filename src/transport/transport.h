@@ -8,10 +8,11 @@
 //   - InProcTransport: direct dispatch to a MessageHandler in the same
 //     process. Deterministic (CallAsync completes immediately); used by
 //     tests, benches and the simulator.
-//   - TcpTransport: a real socket to a ServerRunner, possibly in another
-//     process (tools/rmp_server). A sender thread drains a bounded
-//     submission queue and a receiver thread completes futures, so the
-//     connection carries many requests concurrently.
+//   - TcpTransport (tcp.h): a nonblocking socket to a TcpServer, possibly in
+//     another process (examples/rmp_serverd). The connection lives on the
+//     client's reactor event loops (reactor.h); the submitting thread writes
+//     its own frame, and a thread blocked in Wait() reads its own reply off
+//     the socket when no one else is reading, as the paper's daemon does.
 
 #ifndef SRC_TRANSPORT_TRANSPORT_H_
 #define SRC_TRANSPORT_TRANSPORT_H_
@@ -26,6 +27,8 @@
 #include "src/util/units.h"
 
 namespace rmp {
+
+class ReactorConnection;
 
 // Server-side message dispatch: a MemoryServer implements this.
 class MessageHandler {
@@ -69,8 +72,13 @@ class RpcFuture {
   // Non-blocking completion poll.
   bool ready() const;
 
-  // Blocks until the reply (or transport failure) arrives.
-  Result<Message> Wait();
+  // Blocks until the reply (or transport failure) arrives. The reference
+  // stays valid as long as any copy of this future lives. A TcpTransport
+  // future whose connection has no reader runs to completion: the waiting
+  // thread reads and dispatches frames itself until its own reply is in
+  // (ReactorConnection::ReadOnCaller), instead of sleeping until the event
+  // loop wakes it.
+  const Result<Message>& Wait();
 
   // Wait() with a deadline: if no reply arrives within `timeout`, returns
   // UnavailableError without consuming the future — the reply (should it
@@ -87,6 +95,9 @@ class RpcFuture {
     std::mutex mutex;
     std::condition_variable cv;
     std::optional<Result<Message>> result;
+    // The connection the reply arrives on; Wait() reads it itself when it
+    // can. Empty for futures that complete without a socket.
+    std::weak_ptr<ReactorConnection> conn;
   };
 
   static std::shared_ptr<State> NewState() { return std::make_shared<State>(); }

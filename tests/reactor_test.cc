@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -415,6 +416,7 @@ class RecordingSink : public FrameSink {
     std::lock_guard<std::mutex> lock(mutex_);
     frames_.push_back(std::move(frame));
     more_.push_back(more);
+    threads_.push_back(std::this_thread::get_id());
     cv_.notify_all();
   }
 
@@ -445,6 +447,15 @@ class RecordingSink : public FrameSink {
     std::lock_guard<std::mutex> lock(mutex_);
     return more_;
   }
+  // The thread each frame was dispatched on.
+  std::vector<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+  size_t frame_count() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return frames_.size();
+  }
   int closes() {
     std::lock_guard<std::mutex> lock(mutex_);
     return closes_;
@@ -459,6 +470,7 @@ class RecordingSink : public FrameSink {
   std::condition_variable cv_;
   std::vector<Message> frames_;
   std::vector<bool> more_;
+  std::vector<std::thread::id> threads_;
   int closes_ = 0;
   Status close_reason_;
 };
@@ -482,6 +494,35 @@ class ReactorLoopTest : public ::testing::Test {
   void SendBytes(std::span<const uint8_t> bytes) {
     ASSERT_EQ(::send(peer_.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(bytes.size()));
+  }
+
+  // A first frame read by the loop: registration (OnOpen, the epoll ADD) is
+  // done once it arrives, so a caller can take the read role.
+  void WaitUntilRegistered() {
+    SendBytes(Encode(MakeHeartbeat(1)));
+    ASSERT_TRUE(sink_->WaitForFrames(1));
+  }
+
+  // ReadOnCaller, retried while the loop still holds the read role from the
+  // registration frame (its OnFrame can wake the test before it lets go).
+  bool ReadOnThisThread(const std::function<bool()>& done) {
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (!conn_->ReadOnCaller(done)) {
+      if (Clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
+  // Runs `act` on another thread after the calling thread has had time to
+  // take the read role and block in poll.
+  std::thread After50ms(std::function<void()> act) {
+    return std::thread([act = std::move(act)] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      act();
+    });
   }
 
   std::unique_ptr<Reactor> reactor_;
@@ -561,6 +602,84 @@ TEST_F(ReactorLoopTest, LocalCloseStopsDeliveryAndHangsUpOnThePeer) {
   reactor_->Stop();
   EXPECT_EQ(sink_->frames().size(), 1u);
   EXPECT_EQ(sink_->closes(), 1);
+}
+
+// --- Run to completion on the caller ---------------------------------------------
+// ReadOnCaller: a blocked caller takes the read role from the loop, reads on
+// its own thread until its condition holds, and hands the role back.
+
+TEST_F(ReactorLoopTest, CallerReadDispatchesOnTheCallingThread) {
+  WaitUntilRegistered();
+  std::thread sender = After50ms([this] { SendBytes(Encode(MakeHeartbeat(2))); });
+  EXPECT_TRUE(ReadOnThisThread([this] { return sink_->frame_count() >= 2; }));
+  sender.join();
+  const std::vector<std::thread::id> threads = sink_->threads();
+  ASSERT_EQ(threads.size(), 2u);
+  EXPECT_NE(threads[0], std::this_thread::get_id());  // The loop read the first.
+  EXPECT_EQ(threads[1], std::this_thread::get_id());
+  EXPECT_EQ(sink_->frames()[1].request_id, 2u);
+  // With the role handed back, the loop reads again.
+  SendBytes(Encode(MakeHeartbeat(3)));
+  ASSERT_TRUE(sink_->WaitForFrames(3));
+  EXPECT_EQ(sink_->threads()[2], threads[0]);
+  EXPECT_EQ(sink_->closes(), 0);
+}
+
+TEST_F(ReactorLoopTest, FrameSplitAcrossTheHandBackIsReassembledByTheLoop) {
+  WaitUntilRegistered();
+  PageBuffer page;
+  FillPattern(page.span(), 77);
+  const std::vector<uint8_t> next = Encode(MakePageOut(3, 9, page.span()));
+  const size_t half = next.size() / 2;
+  // The caller's own frame and the first half of the next one, in one send.
+  std::vector<uint8_t> first = Encode(MakeHeartbeat(2));
+  first.insert(first.end(), next.begin(), next.begin() + static_cast<ptrdiff_t>(half));
+  std::thread sender = After50ms([&] { SendBytes(first); });
+  EXPECT_TRUE(ReadOnThisThread([this] { return sink_->frame_count() >= 2; }));
+  sender.join();
+  SendBytes(std::span<const uint8_t>(next).subspan(half));
+  ASSERT_TRUE(sink_->WaitForFrames(3));
+  const std::vector<Message> frames = sink_->frames();
+  const std::vector<std::thread::id> threads = sink_->threads();
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[1].request_id, 2u);
+  EXPECT_EQ(threads[1], std::this_thread::get_id());
+  EXPECT_EQ(frames[2].type, MessageType::kPageOut);
+  EXPECT_EQ(frames[2].request_id, 3u);
+  EXPECT_TRUE(CheckPattern(frames[2].payload, 77));
+  EXPECT_EQ(threads[2], threads[0]);  // Finished by the loop.
+  EXPECT_EQ(sink_->closes(), 0);
+}
+
+TEST_F(ReactorLoopTest, PeerHangupDuringCallerReadFiresOnCloseOnce) {
+  WaitUntilRegistered();
+  std::thread closer = After50ms([this] { peer_.Reset(); });
+  EXPECT_TRUE(ReadOnThisThread([this] { return sink_->closes() > 0; }));
+  closer.join();
+  ASSERT_TRUE(sink_->WaitForClose());
+  EXPECT_EQ(sink_->close_reason().code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(conn_->closed());
+  // A closed connection has no read role to give.
+  EXPECT_FALSE(conn_->ReadOnCaller([] { return false; }));
+  reactor_->Stop();
+  EXPECT_EQ(sink_->closes(), 1);
+  EXPECT_EQ(sink_->frame_count(), 1u);
+}
+
+TEST_F(ReactorLoopTest, CorruptFrameDuringCallerReadFiresOnCloseOnce) {
+  WaitUntilRegistered();
+  PageBuffer page;
+  FillPattern(page.span(), 5);
+  std::vector<uint8_t> corrupt = Encode(MakePageOut(2, 1, page.span()));
+  corrupt.back() ^= 0xff;  // The payload no longer matches its CRC.
+  std::thread sender = After50ms([&] { SendBytes(corrupt); });
+  EXPECT_TRUE(ReadOnThisThread([this] { return sink_->closes() > 0; }));
+  sender.join();
+  ASSERT_TRUE(sink_->WaitForClose());
+  EXPECT_EQ(sink_->close_reason().code(), ErrorCode::kCorruption);
+  reactor_->Stop();
+  EXPECT_EQ(sink_->closes(), 1);
+  EXPECT_EQ(sink_->frame_count(), 1u);  // The corrupt frame is never delivered.
 }
 
 // --- TcpServer integration ---------------------------------------------------

@@ -4,10 +4,16 @@
 
 #include "src/transport/tcp.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,6 +351,227 @@ TEST_F(TcpTest, DuplicateRequestIdIsRejected) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_TRUE(CheckPattern(std::span<const uint8_t>(reply->payload), 3));
   server_->SetSlotDelayForTest(alloc->slot, 0);
+}
+
+
+// --- Run to completion: a blocked Wait() reads its own reply ------------------
+
+TEST_F(TcpTest, CloseFromAnotherThreadReleasesABlockedWait) {
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  auto alloc = (*client)->Call(MakeAllocRequest(1, 1));
+  ASSERT_TRUE(alloc.ok());
+  server_->SetSlotDelayForTest(alloc->slot, 1'000'000);  // 1 s.
+  RpcFuture future = (*client)->CallAsync(MakePageIn(2, alloc->slot));
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    (*client)->Close();
+  });
+  // The waiter is blocked reading the socket itself; the close must wake it
+  // long before the server would have answered.
+  const auto start = std::chrono::steady_clock::now();
+  const Result<Message>& reply = future.Wait();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  closer.join();
+  EXPECT_EQ(reply.status().code(), ErrorCode::kUnavailable);
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+  server_->SetSlotDelayForTest(alloc->slot, 0);
+}
+
+TEST_F(TcpTest, TwoWaitersOnOneConnectionEachGetTheirOwnReply) {
+  // A multi-lane session answers the two slots in either order; whichever
+  // waiter holds the read role dispatches the other's reply too.
+  auto started = TcpServer::Start(0, TcpServer::ForwardTo(server_),
+                                  /*required_token=*/"", /*session_workers=*/4);
+  ASSERT_TRUE(started.ok());
+  auto client = TcpTransport::Connect("127.0.0.1", (*started)->port());
+  ASSERT_TRUE(client.ok());
+  auto alloc = (*client)->Call(MakeAllocRequest(1, 2));
+  ASSERT_TRUE(alloc.ok());
+  const uint64_t slots[2] = {alloc->slot, alloc->slot + 1};
+  PageBuffer page;
+  for (uint64_t i = 0; i < 2; ++i) {
+    FillPattern(page.span(), 60 + i);
+    ASSERT_TRUE((*client)->Call(MakePageOut(2 + i, slots[i], page.span())).ok());
+  }
+  uint64_t request_id = 10;
+  for (int round = 0; round < 2; ++round) {
+    // Round 0 answers slot 1 first, round 1 slot 0.
+    server_->SetSlotDelayForTest(slots[0], round == 0 ? 150'000 : 30'000);
+    server_->SetSlotDelayForTest(slots[1], round == 0 ? 30'000 : 150'000);
+    RpcFuture futures[2];
+    uint64_t ids[2];
+    for (int i = 0; i < 2; ++i) {
+      ids[i] = request_id++;
+      futures[i] = (*client)->CallAsync(MakePageIn(ids[i], slots[i]));
+    }
+    std::atomic<int> good{0};
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < 2; ++i) {
+      waiters.emplace_back([&, i] {
+        const Result<Message>& reply = futures[i].Wait();
+        if (reply.ok() && reply->request_id == ids[i] &&
+            CheckPattern(std::span<const uint8_t>(reply->payload), 60 + static_cast<uint64_t>(i))) {
+          good.fetch_add(1);
+        }
+      });
+    }
+    for (auto& waiter : waiters) {
+      waiter.join();
+    }
+    EXPECT_EQ(good.load(), 2) << "round " << round;
+  }
+  server_->SetSlotDelayForTest(slots[0], 0);
+  server_->SetSlotDelayForTest(slots[1], 0);
+  EXPECT_EQ((*client)->inflight(), 0u);
+}
+
+// A bare loopback listener in place of a TcpServer: the test plays the server
+// side of the connection with blocking ReadFrame/SendFrame. `rcvbuf`, when
+// set, is inherited by the accepted socket.
+class RawListener {
+ public:
+  explicit RawListener(int rcvbuf = 0) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd_.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::listen(fd_.get(), 4) == 0 &&
+        ::getsockname(fd_.get(), reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+
+  uint16_t port() const { return port_; }
+  UniqueFd Accept() { return UniqueFd(::accept(fd_.get(), nullptr, nullptr)); }
+
+ private:
+  UniqueFd fd_;
+  uint16_t port_ = 0;
+};
+
+TEST(TcpRawPeerTest, PeerHangupFailsTheBlockedWait) {
+  RawListener listener;
+  ASSERT_NE(listener.port(), 0);
+  auto client = TcpTransport::Connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.ok());
+  UniqueFd server = listener.Accept();
+  std::thread peer([&] {
+    (void)ReadFrame(server.get());  // The call is on the wire and its caller
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // blocked.
+    server.Reset();
+  });
+  auto reply = (*client)->Call(MakeLoadQuery(1));
+  peer.join();
+  EXPECT_EQ(reply.status().code(), ErrorCode::kUnavailable);
+  EXPECT_FALSE((*client)->connected());
+}
+
+TEST(TcpRawPeerTest, CorruptReplyFailsTheBlockedWait) {
+  RawListener listener;
+  ASSERT_NE(listener.port(), 0);
+  auto client = TcpTransport::Connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.ok());
+  UniqueFd server = listener.Accept();
+  std::thread peer([&] {
+    auto request = ReadFrame(server.get());
+    ASSERT_TRUE(request.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    PageBuffer page;
+    FillPattern(page.span(), 4);
+    std::vector<uint8_t> reply =
+        Encode(MakePageInReply(request->request_id, 0, page.span(), ErrorCode::kOk));
+    reply.back() ^= 0xff;  // The payload no longer matches its CRC.
+    ASSERT_EQ(::send(server.get(), reply.data(), reply.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(reply.size()));
+  });
+  auto reply = (*client)->Call(MakePageIn(1, 0));
+  peer.join();
+  EXPECT_EQ(reply.status().code(), ErrorCode::kUnavailable);
+  EXPECT_NE(reply.status().message().find("CRC"), std::string::npos)
+      << reply.status().ToString();
+  EXPECT_FALSE((*client)->connected());
+}
+
+// Two submissions of one request_id that both wait for send space: one is
+// rejected and the other answered. Neither may be sent without a registered
+// future, whose Wait() would then never return.
+TEST(TcpRawPeerTest, DuplicateIdThatWaitedForSendSpaceIsRejected) {
+  RawListener listener(64 * 1024);  // A small window fills quickly.
+  ASSERT_NE(listener.port(), 0);
+  auto client = TcpTransport::Connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.ok());
+  TcpTransport* transport = client->get();
+  UniqueFd server = listener.Accept();
+
+  // The peer reads nothing yet: once the socket buffers are full,
+  // kMaxQueuedSends frames queue and the filler blocks for send space.
+  constexpr uint64_t kFill = 512;
+  PageBuffer page;
+  FillPattern(page.span(), 1);
+  std::vector<RpcFuture> filled;
+  std::atomic<uint64_t> submitted{0};
+  std::thread filler([&] {
+    for (uint64_t id = 1; id <= kFill; ++id) {
+      filled.push_back(transport->CallAsync(MakePageOut(id, 0, page.span())));
+      submitted.store(id);
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t last = 0;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now = submitted.load();
+    if ((now == last && now > 0) || std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    last = now;
+  }
+  EXPECT_LT(submitted.load(), kFill) << "the send queue never filled";
+
+  constexpr uint64_t kDup = 1'000'000;
+  RpcFuture dup[2];
+  std::vector<std::thread> submitters;
+  for (int i = 0; i < 2; ++i) {
+    submitters.emplace_back([&, i] { dup[i] = transport->CallAsync(MakeLoadQuery(kDup)); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Both wait for space.
+
+  // Now the peer drains the connection and answers every frame.
+  std::thread peer([&] {
+    for (;;) {
+      auto frame = ReadFrame(server.get());
+      if (!frame.ok() || !SendFrame(server.get(), MakeErrorReply(frame->request_id,
+                                                                 ErrorCode::kOk)).ok()) {
+        return;
+      }
+    }
+  });
+  for (auto& submitter : submitters) {
+    submitter.join();
+  }
+  filler.join();
+  int rejected = 0;
+  int answered = 0;
+  for (RpcFuture& future : dup) {
+    // Bounded: an orphaned future would otherwise hang the test.
+    Result<Message> reply = future.WaitFor(5 * kSecond);
+    if (reply.status().code() == ErrorCode::kInvalidArgument) {
+      ++rejected;
+    } else if (reply.ok() && reply->request_id == kDup) {
+      ++answered;
+    }
+  }
+  EXPECT_EQ(rejected, 1);
+  EXPECT_EQ(answered, 1);
+  for (RpcFuture& future : filled) {
+    EXPECT_TRUE(future.WaitFor(5 * kSecond).ok());
+  }
+  transport->Close();
+  peer.join();
 }
 
 }  // namespace
