@@ -11,6 +11,7 @@
 #include "src/util/checksum.h"
 #include "src/util/checksum_internal.h"
 #include "src/vm/paged_vm.h"
+#include "src/vm/vm_array.h"
 
 namespace rmp {
 namespace {
@@ -100,20 +101,20 @@ void BM_ServerStoreLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerStoreLoad);
 
-void BM_VmTouchHit(benchmark::State& state) {
-  MemoryServerParams server_params;
-  server_params.capacity_pages = 4096;
-  MemoryServer server(server_params);
-  InProcTransport transport(&server);
-  // Direct VM over a tiny backend; all touches hit.
+// A VM whose 64 pages all fit in its 64 frames: after its first touch, every
+// access to a page hits.
+std::unique_ptr<Testbed> HitOnlyTestbed() {
   TestbedParams params;
   params.policy = Policy::kNoReliability;
   params.data_servers = 1;
-  auto testbed = Testbed::Create(params);
-  VmParams vm_params;
-  vm_params.virtual_pages = 64;
-  vm_params.physical_frames = 64;
-  PagedVm vm(vm_params, &(*testbed)->backend());
+  return Testbed::Create(params).value();
+}
+
+constexpr VmParams kHitOnlyVm{.virtual_pages = 64, .physical_frames = 64};
+
+void BM_VmTouchHit(benchmark::State& state) {
+  auto testbed = HitOnlyTestbed();
+  PagedVm vm(kHitOnlyVm, &testbed->backend());
   TimeNs now = 0;
   uint64_t page = 0;
   for (auto _ : state) {
@@ -122,6 +123,41 @@ void BM_VmTouchHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VmTouchHit);
+
+// Sequential element reads: all but one access per page hit the VM's
+// translation cache.
+void BM_VmArrayGetSequential(benchmark::State& state) {
+  auto testbed = HitOnlyTestbed();
+  PagedVm vm(kHitOnlyVm, &testbed->backend());
+  VmArray<uint64_t> array(&vm, 0, 64 * kPageSize / sizeof(uint64_t));
+  TimeNs now = 0;
+  uint64_t index = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(array.Get(&now, index));
+    index = (index + 1) % array.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VmArrayGetSequential);
+
+// Reads alternating between two resident pages, like a Hoare partition's i
+// and j scans: every access misses the translation cache but hits the page
+// table.
+void BM_VmArrayGetTwoPages(benchmark::State& state) {
+  auto testbed = HitOnlyTestbed();
+  PagedVm vm(kHitOnlyVm, &testbed->backend());
+  VmArray<uint64_t> array(&vm, 0, 64 * kPageSize / sizeof(uint64_t));
+  const uint64_t per_page = kPageSize / sizeof(uint64_t);
+  TimeNs now = 0;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(array.Get(&now, i));
+    benchmark::DoNotOptimize(array.Get(&now, array.size() - 1 - i));
+    i = (i + 1) % per_page;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_VmArrayGetTwoPages);
 
 void BM_InProcPageOutRpc(benchmark::State& state) {
   MemoryServerParams params;

@@ -42,7 +42,10 @@ sanitizers=("${@:-address}")
 # threads while pollers drain them over the wire — TSan territory — and the
 # introspection-reply fuzz sweeps plus the live rmptop demo (real TCP, traffic
 # thread) are where ASan would catch a payload view escaping its frame.
-label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke}"
+# vm_smoke covers the VM: the flat page table, the inline translation cache
+# and the replacement policies' frame-indexed lists, whose index arithmetic
+# is where ASan/UBSan would catch an out-of-bounds frame or page.
+label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|vm_smoke}"
 
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="${repo_root}/build-${sanitizer}san"

@@ -8,8 +8,9 @@ namespace rmp {
 PagedVm::PagedVm(const VmParams& params, PagingBackend* backend)
     : params_(params),
       backend_(backend),
-      policy_(MakeReplacementPolicy(params.replacement)),
+      policy_(MakeReplacementPolicy(params.replacement, params.physical_frames)),
       frames_(params.physical_frames),
+      page_table_(params.virtual_pages, kNoFrame),
       ever_paged_out_(params.virtual_pages, false) {
   assert(backend_ != nullptr);
   assert(params_.physical_frames > 0);
@@ -17,11 +18,6 @@ PagedVm::PagedVm(const VmParams& params, PagingBackend* backend)
   for (uint32_t f = 0; f < params_.physical_frames; ++f) {
     free_frames_.push_back(params_.physical_frames - 1 - f);  // Pop in order 0,1,2...
   }
-}
-
-bool PagedVm::IsDirty(uint64_t vpage) const {
-  auto it = frame_of_.find(vpage);
-  return it != frame_of_.end() && frames_[it->second].dirty;
 }
 
 Result<uint32_t> PagedVm::TakeFreeFrame(TimeNs* now) {
@@ -45,7 +41,7 @@ Result<uint32_t> PagedVm::TakeFreeFrame(TimeNs* now) {
     ++stats_.clean_evictions;
   }
   policy_->OnEvict(victim);
-  frame_of_.erase(slot.vpage);
+  page_table_[slot.vpage] = kNoFrame;
   slot.live = false;
   slot.dirty = false;
   return victim;
@@ -53,11 +49,13 @@ Result<uint32_t> PagedVm::TakeFreeFrame(TimeNs* now) {
 
 Result<uint32_t> PagedVm::Fault(TimeNs* now, uint64_t vpage) {
   ++stats_.faults;
+  cached_vpage_ = kNoPage;  // The victim may be the cached page.
   RMP_ASSIGN_OR_RETURN(const uint32_t frame, TakeFreeFrame(now));
   Frame& slot = frames_[frame];
   if (ever_paged_out_[vpage]) {
     auto done = backend_->PageIn(*now, vpage, slot.data.span());
     if (!done.ok()) {
+      free_frames_.push_back(frame);  // The victim is gone; keep its frame.
       return done.status();
     }
     *now = *done;
@@ -69,12 +67,12 @@ Result<uint32_t> PagedVm::Fault(TimeNs* now, uint64_t vpage) {
   slot.vpage = vpage;
   slot.dirty = false;
   slot.live = true;
-  frame_of_[vpage] = frame;
+  page_table_[vpage] = frame;
   policy_->OnInsert(frame);
   return frame;
 }
 
-Status PagedVm::Touch(TimeNs* now, uint64_t vpage, bool write) {
+Result<uint32_t> PagedVm::Translate(TimeNs* now, uint64_t vpage, bool write) {
   if (vpage >= params_.virtual_pages) {
     return InvalidArgumentError("virtual page out of range");
   }
@@ -82,11 +80,9 @@ Status PagedVm::Touch(TimeNs* now, uint64_t vpage, bool write) {
     observer_(vpage, write);
   }
   ++stats_.accesses;
-  uint32_t frame;
-  auto it = frame_of_.find(vpage);
-  if (it != frame_of_.end()) {
+  uint32_t frame = page_table_[vpage];
+  if (frame != kNoFrame) {
     ++stats_.hits;
-    frame = it->second;
     policy_->OnAccess(frame);
   } else {
     RMP_ASSIGN_OR_RETURN(frame, Fault(now, vpage));
@@ -94,32 +90,36 @@ Status PagedVm::Touch(TimeNs* now, uint64_t vpage, bool write) {
   if (write) {
     frames_[frame].dirty = true;
   }
-  return OkStatus();
+  if (!observer_) {
+    cached_vpage_ = vpage;
+    cached_frame_ = frame;
+  }
+  return frame;
 }
 
-Status PagedVm::Read(TimeNs* now, uint64_t addr, std::span<uint8_t> out) {
+Status PagedVm::Touch(TimeNs* now, uint64_t vpage, bool write) {
+  return Translate(now, vpage, write).status();
+}
+
+Status PagedVm::ReadSlow(TimeNs* now, uint64_t addr, std::span<uint8_t> out) {
   uint64_t offset = 0;
   while (offset < out.size()) {
-    const uint64_t vpage = (addr + offset) / kPageSize;
     const uint64_t in_page = (addr + offset) % kPageSize;
     const uint64_t chunk = std::min<uint64_t>(out.size() - offset, kPageSize - in_page);
-    RMP_RETURN_IF_ERROR(Touch(now, vpage, /*write=*/false));
-    const Frame& slot = frames_[frame_of_.at(vpage)];
-    std::copy_n(slot.data.data() + in_page, chunk, out.data() + offset);
+    RMP_ASSIGN_OR_RETURN(const uint32_t frame, Translate(now, (addr + offset) / kPageSize, false));
+    std::copy_n(frames_[frame].data.data() + in_page, chunk, out.data() + offset);
     offset += chunk;
   }
   return OkStatus();
 }
 
-Status PagedVm::Write(TimeNs* now, uint64_t addr, std::span<const uint8_t> in) {
+Status PagedVm::WriteSlow(TimeNs* now, uint64_t addr, std::span<const uint8_t> in) {
   uint64_t offset = 0;
   while (offset < in.size()) {
-    const uint64_t vpage = (addr + offset) / kPageSize;
     const uint64_t in_page = (addr + offset) % kPageSize;
     const uint64_t chunk = std::min<uint64_t>(in.size() - offset, kPageSize - in_page);
-    RMP_RETURN_IF_ERROR(Touch(now, vpage, /*write=*/true));
-    Frame& slot = frames_[frame_of_.at(vpage)];
-    std::copy_n(in.data() + offset, chunk, slot.data.data() + in_page);
+    RMP_ASSIGN_OR_RETURN(const uint32_t frame, Translate(now, (addr + offset) / kPageSize, true));
+    std::copy_n(in.data() + offset, chunk, frames_[frame].data.data() + in_page);
     offset += chunk;
   }
   return OkStatus();
@@ -127,15 +127,12 @@ Status PagedVm::Write(TimeNs* now, uint64_t addr, std::span<const uint8_t> in) {
 
 Status PagedVm::FlushDirty(TimeNs* now) {
   // Deterministic order: ascending vpage.
-  std::vector<uint64_t> dirty;
-  for (const auto& [vpage, frame] : frame_of_) {
-    if (frames_[frame].dirty) {
-      dirty.push_back(vpage);
+  for (uint64_t vpage = 0; vpage < page_table_.size(); ++vpage) {
+    const uint32_t frame = page_table_[vpage];
+    if (frame == kNoFrame || !frames_[frame].dirty) {
+      continue;
     }
-  }
-  std::sort(dirty.begin(), dirty.end());
-  for (const uint64_t vpage : dirty) {
-    Frame& slot = frames_[frame_of_.at(vpage)];
+    Frame& slot = frames_[frame];
     auto done = backend_->PageOut(*now, vpage, slot.data.span());
     if (!done.ok()) {
       return done.status();
@@ -152,11 +149,12 @@ void PagedVm::InvalidateAll() {
   for (uint32_t f = 0; f < params_.physical_frames; ++f) {
     if (frames_[f].live) {
       policy_->OnEvict(f);
+      page_table_[frames_[f].vpage] = kNoFrame;
       frames_[f].live = false;
       frames_[f].dirty = false;
     }
   }
-  frame_of_.clear();
+  cached_vpage_ = kNoPage;
   free_frames_.clear();
   for (uint32_t f = 0; f < params_.physical_frames; ++f) {
     free_frames_.push_back(params_.physical_frames - 1 - f);

@@ -1,6 +1,7 @@
 #include "src/vm/replacement.h"
 
 #include <cassert>
+#include <utility>
 
 namespace rmp {
 
@@ -16,114 +17,95 @@ std::string_view ReplacementKindName(ReplacementKind kind) {
   return "UNKNOWN";
 }
 
-std::unique_ptr<ReplacementPolicy> MakeReplacementPolicy(ReplacementKind kind) {
+std::unique_ptr<ReplacementPolicy> MakeReplacementPolicy(ReplacementKind kind, uint32_t frames) {
   switch (kind) {
     case ReplacementKind::kLru:
-      return std::make_unique<LruPolicy>();
+      return std::make_unique<LruPolicy>(frames);
     case ReplacementKind::kClock:
-      return std::make_unique<ClockPolicy>();
+      return std::make_unique<ClockPolicy>(frames);
     case ReplacementKind::kFifo:
-      return std::make_unique<FifoPolicy>();
+      return std::make_unique<FifoPolicy>(frames);
   }
   return nullptr;
 }
 
-// --- LRU ---------------------------------------------------------------
+// --- LRU and FIFO --------------------------------------------------------
 
-void LruPolicy::OnInsert(uint32_t frame) {
-  assert(where_.count(frame) == 0);
-  recency_.push_front(frame);
-  where_[frame] = recency_.begin();
+ListPolicy::ListPolicy(uint32_t frames)
+    : prev_(frames + 1, kUnlinked), next_(frames + 1, kUnlinked), head_(frames) {
+  prev_[head_] = head_;
+  next_[head_] = head_;
 }
 
-void LruPolicy::OnAccess(uint32_t frame) {
-  auto it = where_.find(frame);
-  assert(it != where_.end());
-  recency_.splice(recency_.begin(), recency_, it->second);
+void ListPolicy::Unlink(uint32_t frame) {
+  assert(next_[frame] != kUnlinked);
+  next_[prev_[frame]] = next_[frame];
+  prev_[next_[frame]] = prev_[frame];
+  next_[frame] = kUnlinked;
 }
 
-void LruPolicy::OnEvict(uint32_t frame) {
-  auto it = where_.find(frame);
-  if (it == where_.end()) {
-    return;
+void ListPolicy::PushFront(uint32_t frame) {
+  const uint32_t old_front = next_[head_];
+  prev_[frame] = head_;
+  next_[frame] = old_front;
+  prev_[old_front] = frame;
+  next_[head_] = frame;
+}
+
+void ListPolicy::OnInsert(uint32_t frame) {
+  assert(frame < head_ && next_[frame] == kUnlinked);
+  PushFront(frame);
+}
+
+void ListPolicy::OnEvict(uint32_t frame) {
+  if (next_[frame] != kUnlinked) {
+    Unlink(frame);
   }
-  recency_.erase(it->second);
-  where_.erase(it);
 }
 
-uint32_t LruPolicy::Victim() {
-  assert(!recency_.empty());
-  return recency_.back();
+uint32_t ListPolicy::Victim() {
+  assert(prev_[head_] != head_);
+  return prev_[head_];
+}
+
+void ListPolicy::MoveToFront(uint32_t frame) {
+  if (next_[head_] != frame) {
+    Unlink(frame);
+    PushFront(frame);
+  }
 }
 
 // --- CLOCK -------------------------------------------------------------
 
 void ClockPolicy::OnInsert(uint32_t frame) {
-  assert(where_.count(frame) == 0);
-  // Reuse a dead ring slot if one exists; otherwise grow the ring.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    if (!ring_[i].live) {
-      ring_[i] = Slot{frame, true, true};
-      where_[frame] = i;
-      return;
-    }
-  }
-  ring_.push_back(Slot{frame, true, true});
-  where_[frame] = ring_.size() - 1;
+  assert(!ring_[frame].live);
+  ring_[frame] = Slot{true, true};
+  ++live_;
 }
 
 void ClockPolicy::OnAccess(uint32_t frame) {
-  auto it = where_.find(frame);
-  assert(it != where_.end());
-  ring_[it->second].referenced = true;
+  assert(ring_[frame].live);
+  ring_[frame].referenced = true;
 }
 
 void ClockPolicy::OnEvict(uint32_t frame) {
-  auto it = where_.find(frame);
-  if (it == where_.end()) {
-    return;
+  if (ring_[frame].live) {
+    ring_[frame].live = false;
+    --live_;
   }
-  ring_[it->second].live = false;
-  where_.erase(it);
 }
 
 uint32_t ClockPolicy::Victim() {
-  assert(!where_.empty());
+  assert(live_ > 0);
   for (;;) {
-    Slot& slot = ring_[hand_];
     const size_t current = hand_;
     hand_ = (hand_ + 1) % ring_.size();
-    if (!slot.live) {
-      continue;
+    // Second chance: a referenced frame loses its bit and is passed over.
+    Slot& slot = ring_[current];
+    if (slot.live && !std::exchange(slot.referenced, false)) {
+      return static_cast<uint32_t>(current);
     }
-    if (slot.referenced) {
-      slot.referenced = false;  // Second chance.
-      continue;
-    }
-    return ring_[current].frame;
   }
-}
-
-// --- FIFO --------------------------------------------------------------
-
-void FifoPolicy::OnInsert(uint32_t frame) {
-  assert(where_.count(frame) == 0);
-  queue_.push_back(frame);
-  where_[frame] = std::prev(queue_.end());
-}
-
-void FifoPolicy::OnEvict(uint32_t frame) {
-  auto it = where_.find(frame);
-  if (it == where_.end()) {
-    return;
-  }
-  queue_.erase(it->second);
-  where_.erase(it);
-}
-
-uint32_t FifoPolicy::Victim() {
-  assert(!queue_.empty());
-  return queue_.front();
 }
 
 }  // namespace rmp
