@@ -13,7 +13,8 @@
 //   run_seconds    = 0        # 0 = run until killed
 //   auth_token     =          # non-empty: require AUTH from every client
 // plus the store.* tuning keys (sharding, compressed cold tier, spill —
-// see the README knob table and ApplyStoreConfig).
+// see the README knob table and StoreConfigKeys). Any other key without a
+// '.', or under store., is rejected.
 
 #include <chrono>
 #include <cstdio>
@@ -38,44 +39,48 @@ int Main(int argc, char** argv) {
     }
     config = *loaded;
   }
-  auto port = config.GetInt("port", 7070);
-  auto capacity_mb = config.GetInt("capacity_mb", 64);
-  auto run_seconds = config.GetInt("run_seconds", 0);
-  auto verbose = config.GetBool("verbose", false);
-  if (!port.ok() || !capacity_mb.ok() || !run_seconds.ok() || !verbose.ok()) {
-    std::fprintf(stderr, "bad config value\n");
-    return 1;
-  }
-  SetLogLevel(*verbose ? LogLevel::kDebug : LogLevel::kWarning);
-
+  int64_t port = 7070;
+  int64_t capacity_mb = 64;
+  int64_t run_seconds = 0;
+  bool verbose = false;
+  std::string auth_token;
   MemoryServerParams server_params;
-  server_params.name = config.GetString("name", "rmp-server");
-  server_params.capacity_pages = static_cast<uint64_t>(*capacity_mb) * kMiB / kPageSize;
-  if (auto store = ApplyStoreConfig(config, &server_params); !store.ok()) {
-    std::fprintf(stderr, "store config: %s\n", store.ToString().c_str());
+  server_params.name = "rmp-server";
+  ConfigTable table = {
+      {"port", ConfigKey::kInt, &port, 0, 65535},
+      {"capacity_mb", ConfigKey::kInt, &capacity_mb, 1, 1 << 20},
+      {"run_seconds", ConfigKey::kInt, &run_seconds, 0, 1e9},
+      {"verbose", ConfigKey::kBool, &verbose},
+      {"name", ConfigKey::kString, &server_params.name},
+      {"auth_token", ConfigKey::kString, &auth_token},
+  };
+  const ConfigTable store = StoreConfigKeys(&server_params);
+  table.insert(table.end(), store.begin(), store.end());
+  if (Status applied = ApplyConfig(config, table); !applied.ok()) {
+    std::fprintf(stderr, "config: %s\n", applied.ToString().c_str());
     return 1;
   }
+  SetLogLevel(verbose ? LogLevel::kDebug : LogLevel::kWarning);
+  server_params.capacity_pages = static_cast<uint64_t>(capacity_mb) * kMiB / kPageSize;
   auto server = std::make_shared<MemoryServer>(server_params);
 
-  auto listener = TcpServer::Start(
-      static_cast<uint16_t>(*port),
-      TcpServer::ForwardTo(server),
-      config.GetString("auth_token", ""));
+  auto listener = TcpServer::Start(static_cast<uint16_t>(port), TcpServer::ForwardTo(server),
+                                   auth_token);
   if (!listener.ok()) {
     std::fprintf(stderr, "listen: %s\n", listener.status().ToString().c_str());
     return 1;
   }
   std::printf("%s: donating %lld MB (%llu pages) on 127.0.0.1:%u\n",
-              server_params.name.c_str(), static_cast<long long>(*capacity_mb),
+              server_params.name.c_str(), static_cast<long long>(capacity_mb),
               (unsigned long long)server_params.capacity_pages, (*listener)->port());
 
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(*run_seconds);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(run_seconds);
   for (;;) {
     std::this_thread::sleep_for(std::chrono::seconds(2));
-    if (*run_seconds > 0 && std::chrono::steady_clock::now() >= deadline) {
+    if (run_seconds > 0 && std::chrono::steady_clock::now() >= deadline) {
       break;
     }
-    if (*verbose) {
+    if (verbose) {
       std::printf("%s: %llu live pages, %llu free, %d connections\n",
                   server_params.name.c_str(), (unsigned long long)server->live_pages(),
                   (unsigned long long)server->free_pages(), (*listener)->connections_served());

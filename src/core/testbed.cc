@@ -428,47 +428,31 @@ Status Testbed::CompleteDecommission(size_t i, TimeNs* now) {
   return OkStatus();
 }
 
-Status ApplyClusterConfig(const Config& config, ElasticParams* elastic, RepairParams* repair,
-                          RemotePagerParams* pager) {
-  if (elastic != nullptr) {
-    auto groups = config.GetInt("cluster.page_groups", elastic->page_groups);
-    RMP_RETURN_IF_ERROR(groups.status());
-    if (*groups < 1 || *groups > static_cast<int64_t>(kMaxPageGroups)) {
-      return InvalidArgumentError("cluster.page_groups out of range");
-    }
-    elastic->page_groups = static_cast<uint32_t>(*groups);
-  }
-  if (repair != nullptr) {
-    auto rate = config.GetInt("cluster.rebalance_pages_per_sec",
-                              static_cast<int64_t>(repair->rebalance_pages_per_sec));
-    RMP_RETURN_IF_ERROR(rate.status());
-    repair->rebalance_pages_per_sec = static_cast<uint64_t>(std::max<int64_t>(0, *rate));
-    auto burst = config.GetInt("cluster.rebalance_burst",
-                               static_cast<int64_t>(repair->rebalance_burst_pages));
-    RMP_RETURN_IF_ERROR(burst.status());
-    repair->rebalance_burst_pages = static_cast<uint64_t>(std::max<int64_t>(1, *burst));
-  }
-  if (pager != nullptr) {
-    auto refresh = config.GetInt("cluster.epoch_refresh_ms", pager->map_refresh_interval / Millis(1));
-    RMP_RETURN_IF_ERROR(refresh.status());
-    pager->map_refresh_interval = Millis(std::max<int64_t>(0, *refresh));
-  }
-  return OkStatus();
+ConfigTable ClusterConfigKeys(ElasticParams* elastic, RepairParams* repair,
+                              RemotePagerParams* pager) {
+  return {
+      {"cluster.page_groups", ConfigKey::kInt, elastic ? &elastic->page_groups : nullptr, 1,
+       kMaxPageGroups},
+      {"cluster.rebalance_pages_per_sec", ConfigKey::kInt,
+       repair ? &repair->rebalance_pages_per_sec : nullptr, 0, kNoLimit},
+      {"cluster.rebalance_burst", ConfigKey::kInt,
+       repair ? &repair->rebalance_burst_pages : nullptr, 1, kNoLimit},
+      {"cluster.epoch_refresh_ms", ConfigKey::kInt,
+       pager ? &pager->map_refresh_interval : nullptr, 0, kNoLimit / 1e6, 1e6},
+  };
 }
 
-Status ApplyObservabilityConfig(const Config& config, TestbedParams* params) {
-  RMP_RETURN_IF_ERROR(ApplyTraceConfig(config, &params->pager.trace));
-  RMP_RETURN_IF_ERROR(ApplyEventsConfig(config, &params->pager.events));
-  RMP_RETURN_IF_ERROR(ApplySloConfig(config, &params->pager.slo));
-  // The server journals take the same `events.*` knobs as the client's.
-  RMP_RETURN_IF_ERROR(ApplyEventsConfig(config, &params->server_events));
-  auto span_ring = config.GetInt("trace.span_ring", static_cast<int64_t>(params->server_span_ring));
-  RMP_RETURN_IF_ERROR(span_ring.status());
-  if (*span_ring < 0) {
-    return InvalidArgumentError("trace.span_ring must be >= 0");
+ConfigTable ObservabilityConfigKeys(TestbedParams* params) {
+  ConfigTable table = TraceConfigKeys(&params->pager.trace);
+  table.push_back({"trace.span_ring", ConfigKey::kInt, &params->server_span_ring, 0, 1 << 20});
+  // The server journals take the same `events.*` keys as the client's.
+  for (EventJournalOptions* events : {&params->pager.events, &params->server_events}) {
+    const ConfigTable rows = EventsConfigKeys(events);
+    table.insert(table.end(), rows.begin(), rows.end());
   }
-  params->server_span_ring = static_cast<size_t>(*span_ring);
-  return OkStatus();
+  const ConfigTable slo = SloConfigKeys(&params->pager.slo);
+  table.insert(table.end(), slo.begin(), slo.end());
+  return table;
 }
 
 }  // namespace rmp

@@ -255,24 +255,22 @@ class Testbed {
   Status AdoptNextMap(RemotePagerBase* pager, std::vector<ClusterMember> members, TimeNs* now);
 };
 
-// Applies the `cluster.*` Config keys (README: elastic membership knobs)
-// over the given params:
+// The `cluster.*` config table (README: elastic membership knobs):
 //   cluster.page_groups             -> elastic->page_groups            (default 64)
 //   cluster.rebalance_pages_per_sec -> repair->rebalance_pages_per_sec (0 = unpaced)
 //   cluster.rebalance_burst         -> repair->rebalance_burst_pages   (default 64)
 //   cluster.epoch_refresh_ms        -> pager->map_refresh_interval     (0 = reactive)
-// Null out-params skip their keys. Absent keys keep the current values.
-Status ApplyClusterConfig(const Config& config, ElasticParams* elastic, RepairParams* repair,
-                          RemotePagerParams* pager);
+// A null out-param's keys are still checked but set nothing.
+ConfigTable ClusterConfigKeys(ElasticParams* elastic, RepairParams* repair,
+                              RemotePagerParams* pager);
 
-// Applies the observability Config keys (README: observability knobs) over
-// the given testbed params:
-//   trace.*           -> params->pager.trace   (ApplyTraceConfig)
+// The observability config table (README: observability knobs) over the
+// given testbed params:
+//   trace.*           -> params->pager.trace      (TraceConfigKeys)
 //   trace.span_ring   -> params->server_span_ring (per-server span ring)
 //   events.*          -> params->pager.events AND params->server_events
-//   slo.*             -> params->pager.slo     (ApplySloConfig)
-// Absent keys keep the current values.
-Status ApplyObservabilityConfig(const Config& config, TestbedParams* params);
+//   slo.*             -> params->pager.slo        (SloConfigKeys)
+ConfigTable ObservabilityConfigKeys(TestbedParams* params);
 
 }  // namespace rmp
 

@@ -153,18 +153,12 @@ bool EpochGated(MessageType type) {
 
 }  // namespace
 
-Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params) {
-  auto strict = config.GetBool("tenant.strict", params->strict);
-  RMP_RETURN_IF_ERROR(strict.status());
-  params->strict = *strict;
+Result<ConfigTable> TenantConfigKeys(const Config& config, TenantPolicyParams* params) {
   for (const std::string& key : config.Keys()) {
-    if (key.rfind("tenant.", 0) != 0) {
+    if (key.rfind("tenant.", 0) != 0 || key == "tenant.strict") {
       continue;
     }
     const std::string rest = key.substr(7);
-    if (rest == "strict") {
-      continue;
-    }
     const size_t dot = rest.find('.');
     if (dot == std::string::npos || dot == 0) {
       return InvalidArgumentError("malformed tenant key: " + key);
@@ -172,7 +166,8 @@ Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params) {
     uint64_t id = 0;
     for (size_t i = 0; i < dot; ++i) {
       const char ch = rest[i];
-      if (ch < '0' || ch > '9') {
+      // Decimal without leading zeros: the one spelling the table's rows use.
+      if (ch < '0' || ch > '9' || (i == 0 && ch == '0' && dot > 1)) {
         return InvalidArgumentError("malformed tenant id in key: " + key);
       }
       id = id * 10 + static_cast<uint64_t>(ch - '0');
@@ -183,75 +178,35 @@ Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params) {
     if (id == 0) {
       return InvalidArgumentError("tenant 0 is the legacy lane and takes no quota: " + key);
     }
-    TenantQuota* row = nullptr;
-    for (TenantQuota& q : params->tenants) {
-      if (q.id == id) {
-        row = &q;
-        break;
-      }
-    }
-    if (row == nullptr) {
-      TenantQuota fresh;
-      fresh.id = static_cast<uint16_t>(id);
-      params->tenants.push_back(fresh);
-      row = &params->tenants.back();
-    }
-    const std::string field = rest.substr(dot + 1);
-    if (field == "quota_pages") {
-      auto v = config.GetInt(key, static_cast<int64_t>(row->memory_quota_pages));
-      RMP_RETURN_IF_ERROR(v.status());
-      row->memory_quota_pages = static_cast<uint64_t>(std::max<int64_t>(0, *v));
-    } else if (field == "rate") {
-      auto v = config.GetInt(key, static_cast<int64_t>(row->rate_pages_per_sec));
-      RMP_RETURN_IF_ERROR(v.status());
-      row->rate_pages_per_sec = static_cast<uint64_t>(std::max<int64_t>(0, *v));
-    } else if (field == "burst") {
-      auto v = config.GetInt(key, static_cast<int64_t>(row->burst_pages));
-      RMP_RETURN_IF_ERROR(v.status());
-      row->burst_pages = static_cast<uint64_t>(std::max<int64_t>(1, *v));
-    } else if (field == "advise_fraction") {
-      auto v = config.GetDouble(key, row->advise_stop_fraction);
-      RMP_RETURN_IF_ERROR(v.status());
-      row->advise_stop_fraction = std::clamp(*v, 0.0, 1.0);
-    } else {
-      return InvalidArgumentError("unknown tenant key: " + key);
+    if (std::none_of(params->tenants.begin(), params->tenants.end(),
+                     [id](const TenantQuota& q) { return q.id == id; })) {
+      params->tenants.push_back(TenantQuota{.id = static_cast<uint16_t>(id)});
     }
   }
-  return OkStatus();
+  ConfigTable table = {{"tenant.strict", ConfigKey::kBool, &params->strict}};
+  for (TenantQuota& q : params->tenants) {
+    const std::string base = "tenant." + std::to_string(q.id) + ".";
+    table.push_back({base + "quota_pages", ConfigKey::kInt, &q.memory_quota_pages, 0, kNoLimit});
+    table.push_back({base + "rate", ConfigKey::kInt, &q.rate_pages_per_sec, 0, kNoLimit});
+    table.push_back({base + "burst", ConfigKey::kInt, &q.burst_pages, 1, kNoLimit});
+    table.push_back({base + "advise_fraction", ConfigKey::kDouble, &q.advise_stop_fraction, 0, 1});
+  }
+  return table;
 }
 
-Status ApplyStoreConfig(const Config& config, MemoryServerParams* params) {
-  auto shards = config.GetInt("store.shards", params->store_shards);
-  RMP_RETURN_IF_ERROR(shards.status());
-  params->store_shards = static_cast<uint32_t>(std::max<int64_t>(1, *shards));
-  auto service = config.GetInt("store.service_micros", params->store_service_micros);
-  RMP_RETURN_IF_ERROR(service.status());
-  params->store_service_micros = *service;
-
+ConfigTable StoreConfigKeys(MemoryServerParams* params) {
   StoreTierParams& tier = params->tier;
-  auto hot = config.GetInt("store.hot_pages", static_cast<int64_t>(tier.hot_page_limit));
-  RMP_RETURN_IF_ERROR(hot.status());
-  tier.hot_page_limit = static_cast<uint64_t>(std::max<int64_t>(0, *hot));
-  auto compress = config.GetBool("store.compress", tier.compress);
-  RMP_RETURN_IF_ERROR(compress.status());
-  tier.compress = *compress;
-  auto dedup = config.GetBool("store.dedup", tier.dedup);
-  RMP_RETURN_IF_ERROR(dedup.status());
-  tier.dedup = *dedup;
-  auto promote = config.GetInt("store.promote_hits", tier.promote_after_hits);
-  RMP_RETURN_IF_ERROR(promote.status());
-  tier.promote_after_hits = static_cast<uint32_t>(std::max<int64_t>(0, *promote));
-  auto budget_kb =
-      config.GetInt("store.cold_budget_kb", static_cast<int64_t>(tier.cold_budget_bytes / 1024));
-  RMP_RETURN_IF_ERROR(budget_kb.status());
-  tier.cold_budget_bytes = static_cast<uint64_t>(std::max<int64_t>(0, *budget_kb)) * 1024;
-  auto spill = config.GetInt("store.spill_blocks", static_cast<int64_t>(tier.spill_blocks));
-  RMP_RETURN_IF_ERROR(spill.status());
-  tier.spill_blocks = static_cast<uint64_t>(std::max<int64_t>(0, *spill));
-  auto overcommit = config.GetDouble("store.overcommit", tier.logical_overcommit);
-  RMP_RETURN_IF_ERROR(overcommit.status());
-  tier.logical_overcommit = std::max(1.0, *overcommit);
-  return OkStatus();
+  return {
+      {"store.shards", ConfigKey::kInt, &params->store_shards, 1, 4096},
+      {"store.service_micros", ConfigKey::kInt, &params->store_service_micros, 0, 1e6},
+      {"store.hot_pages", ConfigKey::kInt, &tier.hot_page_limit, 0, kNoLimit},
+      {"store.compress", ConfigKey::kBool, &tier.compress},
+      {"store.dedup", ConfigKey::kBool, &tier.dedup},
+      {"store.promote_hits", ConfigKey::kInt, &tier.promote_after_hits, 0, UINT32_MAX},
+      {"store.cold_budget_kb", ConfigKey::kInt, &tier.cold_budget_bytes, 0, kNoLimit / 1024, 1024},
+      {"store.spill_blocks", ConfigKey::kInt, &tier.spill_blocks, 0, kNoLimit},
+      {"store.overcommit", ConfigKey::kDouble, &tier.logical_overcommit, 1, 1024},
+  };
 }
 
 MemoryServer::MemoryServer(const MemoryServerParams& params)

@@ -116,10 +116,13 @@ struct TenantPolicyParams {
   bool enabled() const { return !tenants.empty() || strict; }
 };
 
-// Applies the `tenant.*` Config keys (README: tenant knobs) over `params`:
-// tenant.strict plus, per declared id, tenant.<id>.quota_pages,
-// tenant.<id>.rate, tenant.<id>.burst, tenant.<id>.advise_fraction.
-Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params);
+// The `tenant.*` config table (README: tenant knobs) over `params`:
+// tenant.strict plus, per id, tenant.<id>.quota_pages, tenant.<id>.rate,
+// tenant.<id>.burst and tenant.<id>.advise_fraction. Every id a
+// `tenant.<id>.*` key of `config` names gets a quota row in `params` first;
+// a malformed id, tenant 0 or an id past kMaxTenantId is an error. The rows
+// point into `params->tenants`: apply them before that vector changes.
+Result<ConfigTable> TenantConfigKeys(const Config& config, TenantPolicyParams* params);
 
 struct MemoryServerParams {
   std::string name = "server";
@@ -147,11 +150,8 @@ struct MemoryServerParams {
   EventJournalOptions events;
 };
 
-// Applies the `store.*` Config keys (README: store tuning knobs) over
-// whatever `params` already holds: store.shards, store.service_micros,
-// store.hot_pages, store.compress, store.dedup, store.promote_hits,
-// store.cold_budget_kb, store.spill_blocks, store.overcommit.
-Status ApplyStoreConfig(const Config& config, MemoryServerParams* params);
+// The `store.*` config table over `params` (README: store tuning knobs).
+ConfigTable StoreConfigKeys(MemoryServerParams* params);
 
 // The server's counters, backed by its MetricsRegistry (DESIGN.md §12): each
 // member is a registry Counter, so the same numbers the direct accessors see

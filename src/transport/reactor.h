@@ -342,7 +342,9 @@ class Reactor {
   ~Reactor();
 
   // The process-wide client-side reactor (TcpTransport connections register
-  // here). Loop count from RMP_CLIENT_LOOPS, default 2. Never stopped.
+  // here). Loop count from RMP_CLIENT_LOOPS (1-64), default 2: one loop
+  // measured ~6% slower on pipelined depth-1 TCP round trips
+  // (EXPERIMENTS.md "One client loop"). Never stopped.
   static Reactor& Shared();
 
   // Takes ownership of `fd` (made nonblocking), assigns a loop, and starts

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 namespace rmp {
 
@@ -124,6 +125,96 @@ std::vector<std::string> Config::Keys() const {
     keys.push_back(key);
   }
   return keys;
+}
+
+namespace {
+
+// The text up to and including a key's first '.', or "" for a dotless key.
+std::string_view KeyPrefix(std::string_view key) {
+  const size_t dot = key.find('.');
+  return dot == std::string_view::npos ? std::string_view() : key.substr(0, dot + 1);
+}
+
+// Reads and range-checks one row's value; writes its field only if `store`.
+Status ApplyRow(const Config& config, const ConfigKey& row, bool store) {
+  bool flag = false;
+  int64_t integer = 0;
+  double number = 0;
+  bool in_range = true;
+  if (row.type == ConfigKey::kBool) {
+    auto value = config.GetBool(row.key, false);
+    RMP_RETURN_IF_ERROR(value.status());
+    flag = *value;
+  } else if (row.type == ConfigKey::kInt) {
+    auto value = config.GetInt(row.key, 0);
+    RMP_RETURN_IF_ERROR(value.status());
+    number = static_cast<double>(*value);
+    integer = *value;
+    // Integer scales apply in int64: a double bound near the int64 limit can
+    // round up past it, so an overflow counts as out of range.
+    in_range = !(row.scale >= 1 && __builtin_mul_overflow(
+                                       *value, static_cast<int64_t>(row.scale), &integer));
+  } else if (row.type == ConfigKey::kDouble) {
+    auto value = config.GetDouble(row.key, 0);
+    RMP_RETURN_IF_ERROR(value.status());
+    number = *value;
+  }
+  if (row.type == ConfigKey::kInt || row.type == ConfigKey::kDouble) {
+    if (!in_range || !(number >= row.min && number <= row.max)) {
+      std::ostringstream message;
+      message << "config key '" << row.key << "': " << config.GetString(row.key, "")
+              << " is outside [" << row.min << ", " << row.max << "]";
+      return InvalidArgumentError(message.str());
+    }
+  }
+  if (!store) {
+    return OkStatus();
+  }
+  std::visit(
+      [&](auto* field) {
+        using T = std::remove_pointer_t<decltype(field)>;
+        if (field == nullptr) {
+          return;
+        }
+        if constexpr (std::is_same_v<T, bool>) {
+          *field = flag;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *field = config.GetString(row.key, "");
+        } else if constexpr (std::is_floating_point_v<T>) {
+          *field = number * row.scale;
+        } else if (row.type == ConfigKey::kInt && row.scale >= 1) {
+          *field = static_cast<T>(integer);  // Already scaled.
+        } else {
+          *field = static_cast<T>(number * row.scale);
+        }
+      },
+      row.field);
+  return OkStatus();
+}
+
+}  // namespace
+
+Status ApplyConfig(const Config& config, const ConfigTable& table) {
+  for (const std::string& key : config.Keys()) {
+    bool owned = false;
+    bool known = false;
+    for (const ConfigKey& row : table) {
+      owned = owned || KeyPrefix(row.key) == KeyPrefix(key);
+      known = known || row.key == key;
+    }
+    if (owned && !known) {
+      return InvalidArgumentError("unknown config key: " + key);
+    }
+  }
+  // Check every row before writing any, so a rejected config sets nothing.
+  for (const bool store : {false, true}) {
+    for (const ConfigKey& row : table) {
+      if (config.Has(row.key)) {
+        RMP_RETURN_IF_ERROR(ApplyRow(config, row, store));
+      }
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace rmp

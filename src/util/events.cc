@@ -40,20 +40,11 @@ int64_t EventWallNanos() {
       .count();
 }
 
-Status ApplyEventsConfig(const Config& config, EventJournalOptions* options) {
-  auto ring = config.GetInt("events.ring", static_cast<int64_t>(options->ring_capacity));
-  RMP_RETURN_IF_ERROR(ring.status());
-  if (*ring < 0) {
-    return InvalidArgumentError("events.ring must be >= 0");
-  }
-  options->ring_capacity = static_cast<size_t>(*ring);
-  auto detail = config.GetInt("events.max_detail", static_cast<int64_t>(options->max_detail_bytes));
-  RMP_RETURN_IF_ERROR(detail.status());
-  if (*detail < 1) {
-    return InvalidArgumentError("events.max_detail must be >= 1");
-  }
-  options->max_detail_bytes = static_cast<size_t>(*detail);
-  return OkStatus();
+ConfigTable EventsConfigKeys(EventJournalOptions* options) {
+  return {
+      {"events.ring", ConfigKey::kInt, &options->ring_capacity, 0, 1 << 20},
+      {"events.max_detail", ConfigKey::kInt, &options->max_detail_bytes, 1, 1 << 16},
+  };
 }
 
 std::string JsonEscape(std::string_view in) {
@@ -91,36 +82,22 @@ std::string JsonEscape(std::string_view in) {
 }
 
 EventJournal::EventJournal(const EventJournalOptions& options)
-    : options_(options), ring_(options.ring_capacity) {}
+    : max_detail_bytes_(options.max_detail_bytes), ring_(options.ring_capacity) {}
 
 void EventJournal::Append(EventKind kind, std::string_view actor, std::string_view detail) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) {
-    return;
+  if (ring_.capacity() == 0) {
+    return;  // Disabled: the event takes no sequence number either.
   }
-  Event& slot = ring_[ring_next_];
-  if (ring_size_ == ring_.size()) {
-    ++dropped_;
-  } else {
-    ++ring_size_;
-  }
-  slot.seq = next_seq_++;
-  slot.wall_ns = EventWallNanos();
-  slot.kind = kind;
-  slot.actor.assign(actor);
-  slot.detail.assign(detail.substr(0, options_.max_detail_bytes));
-  ring_next_ = (ring_next_ + 1) % ring_.size();
+  ring_.Push(Event{next_seq_++, EventWallNanos(), kind, std::string(actor),
+                   std::string(detail.substr(0, max_detail_bytes_))});
 }
 
 std::vector<Event> EventJournal::Since(uint64_t min_seq, size_t limit) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Event> out;
-  if (ring_.empty() || ring_size_ == 0) {
-    return out;
-  }
-  const size_t begin = ring_size_ == ring_.size() ? ring_next_ : 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    const Event& event = ring_[(begin + i) % ring_.size()];
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const Event& event = ring_[i];
     if (event.seq < min_seq) {
       continue;
     }
@@ -152,7 +129,7 @@ std::string EventJournal::ToJson(uint64_t min_seq, size_t limit) const {
 
 size_t EventJournal::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_size_;
+  return ring_.size();
 }
 
 uint64_t EventJournal::next_seq() const {
@@ -162,27 +139,17 @@ uint64_t EventJournal::next_seq() const {
 
 int64_t EventJournal::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
+  return ring_.dropped();
 }
 
 size_t EventJournal::capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
+  return ring_.capacity();
 }
 
 void EventJournal::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
-  options_.ring_capacity = capacity;
-  ring_.assign(capacity, Event());
-  ring_next_ = 0;
-  ring_size_ = 0;
-}
-
-void EventJournal::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.assign(ring_.size(), Event());
-  ring_next_ = 0;
-  ring_size_ = 0;
+  ring_.Resize(capacity);
 }
 
 }  // namespace rmp

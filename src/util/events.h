@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/bounded_ring.h"
 #include "src/util/config.h"
 #include "src/util/status.h"
 
@@ -70,11 +71,8 @@ struct EventJournalOptions {
   size_t max_detail_bytes = 256;
 };
 
-// Applies the `events.*` Config keys over `options`:
-//   events.ring        -> ring_capacity   (0 = journal disabled)
-//   events.max_detail  -> max_detail_bytes
-// Absent keys keep the current values.
-Status ApplyEventsConfig(const Config& config, EventJournalOptions* options);
+// The `events.*` config table over `options` (README: observability knobs).
+ConfigTable EventsConfigKeys(EventJournalOptions* options);
 
 // Bounded, thread-safe structured event ring. Not copyable; hand out
 // pointers (state machines hold an `EventJournal*` that may be null —
@@ -105,16 +103,12 @@ class EventJournal {
 
   // Resizes the ring (clearing it; sequence numbering continues).
   void SetCapacity(size_t capacity);
-  void Clear();
 
  private:
   mutable std::mutex mutex_;
-  EventJournalOptions options_;
-  std::vector<Event> ring_;
-  size_t ring_next_ = 0;
-  size_t ring_size_ = 0;
+  size_t max_detail_bytes_;
+  BoundedRing<Event> ring_;
   uint64_t next_seq_ = 1;
-  int64_t dropped_ = 0;
 };
 
 // Escapes `in` for embedding inside a JSON string literal (quotes,

@@ -4,32 +4,16 @@
 
 namespace rmp {
 
-Status ApplySloConfig(const Config& config, SloParams* params) {
-  auto target_ms = config.GetDouble("slo.target_ms",
-                                    static_cast<double>(params->target) / 1e6);
-  RMP_RETURN_IF_ERROR(target_ms.status());
-  if (*target_ms < 0) {
-    return InvalidArgumentError("slo.target_ms must be >= 0");
-  }
-  params->target = static_cast<DurationNs>(*target_ms * 1e6);
-  auto window = config.GetInt("slo.window", static_cast<int64_t>(params->window));
-  RMP_RETURN_IF_ERROR(window.status());
-  if (*window < 1) {
-    return InvalidArgumentError("slo.window must be >= 1");
-  }
-  params->window = static_cast<size_t>(*window);
-  auto budget = config.GetInt("slo.budget_per_1k",
-                              static_cast<int64_t>(params->budget_fraction * 1000.0));
-  RMP_RETURN_IF_ERROR(budget.status());
-  if (*budget < 1 || *budget > 1000) {
-    return InvalidArgumentError("slo.budget_per_1k must be in [1, 1000]");
-  }
-  params->budget_fraction = static_cast<double>(*budget) / 1000.0;
-  return OkStatus();
+ConfigTable SloConfigKeys(SloParams* params) {
+  return {
+      {"slo.target_ms", ConfigKey::kDouble, &params->target, 0, 1e6, 1e6},
+      {"slo.window", ConfigKey::kInt, &params->window, 1, 1 << 20},
+      {"slo.budget_per_1k", ConfigKey::kInt, &params->budget_fraction, 1, 1000, 1e-3},
+  };
 }
 
 SloTracker::SloTracker(MetricsRegistry* registry, const SloParams& params)
-    : params_(params), ring_(params.window) {
+    : params_(params), window_(params.window) {
   if (registry != nullptr) {
     target_gauge_ = registry->GetGauge("slo.target_us");
     p99_gauge_ = registry->GetGauge("slo.window_p99_us");
@@ -40,13 +24,16 @@ SloTracker::SloTracker(MetricsRegistry* registry, const SloParams& params)
 }
 
 void SloTracker::Record(DurationNs latency) {
-  if (params_.target == 0 || ring_.empty()) {
+  if (params_.target == 0 || window_.capacity() == 0) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_[ring_next_] = latency;
-  ring_next_ = (ring_next_ + 1) % ring_.size();
-  ring_size_ = std::min(ring_size_ + 1, ring_.size());
+  if (latency > params_.target) {
+    ++violations_;
+  }
+  if (const auto evicted = window_.Push(latency); evicted && *evicted > params_.target) {
+    --violations_;
+  }
   if (++since_refresh_ >= params_.refresh_every) {
     RefreshLocked();
   }
@@ -62,30 +49,27 @@ void SloTracker::RefreshLocked() {
   if (p99_gauge_ == nullptr) {
     return;
   }
-  int64_t violations = 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    if (ring_[i] > params_.target) {
-      ++violations;
-    }
-  }
   p99_gauge_->Set(P99Locked() / 1000);
-  violations_gauge_->Set(violations);
-  if (ring_size_ > 0) {
-    const double rate = static_cast<double>(violations) / static_cast<double>(ring_size_);
-    burn_gauge_->Set(static_cast<int64_t>(rate / params_.budget_fraction * 1000.0));
-  } else {
-    burn_gauge_->Set(0);
-  }
+  violations_gauge_->Set(violations_);
+  burn_gauge_->Set(static_cast<int64_t>(BurnRateLocked() * 1000.0));
 }
 
 DurationNs SloTracker::P99Locked() const {
-  if (ring_size_ == 0) {
+  if (window_.size() == 0) {
     return 0;
   }
-  std::vector<DurationNs> sorted(ring_.begin(), ring_.begin() + static_cast<long>(ring_size_));
-  const size_t rank = ring_size_ > 1 ? (ring_size_ * 99) / 100 : 0;
+  std::vector<DurationNs> sorted = window_.Snapshot();
+  const size_t rank = sorted.size() > 1 ? (sorted.size() * 99) / 100 : 0;
   std::nth_element(sorted.begin(), sorted.begin() + static_cast<long>(rank), sorted.end());
   return sorted[rank];
+}
+
+double SloTracker::BurnRateLocked() const {
+  if (window_.size() == 0) {
+    return 0.0;
+  }
+  const double rate = static_cast<double>(violations_) / static_cast<double>(window_.size());
+  return rate / params_.budget_fraction;
 }
 
 DurationNs SloTracker::WindowP99() const {
@@ -95,33 +79,17 @@ DurationNs SloTracker::WindowP99() const {
 
 double SloTracker::BurnRate() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_size_ == 0) {
-    return 0.0;
-  }
-  int64_t violations = 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    if (ring_[i] > params_.target) {
-      ++violations;
-    }
-  }
-  const double rate = static_cast<double>(violations) / static_cast<double>(ring_size_);
-  return rate / params_.budget_fraction;
+  return BurnRateLocked();
 }
 
 int64_t SloTracker::violations() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  int64_t violations = 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    if (ring_[i] > params_.target) {
-      ++violations;
-    }
-  }
-  return violations;
+  return violations_;
 }
 
 size_t SloTracker::samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_size_;
+  return window_.size();
 }
 
 }  // namespace rmp

@@ -3,8 +3,9 @@
 // The bench gate (scripts/diff_bench.py) compares medians of named metrics;
 // what it could not see before this module is *burn rate* — how fast a run
 // is spending its latency-violation budget. SloTracker keeps the last
-// `window` completed-operation latencies in a ring, computes the window p99
-// by selection, and publishes the result as `slo.*` gauges in a
+// `window` completed-operation latencies in a ring, counts the window's
+// violations as samples enter and leave it, computes the window p99 by
+// selection, and publishes the result as `slo.*` gauges in a
 // MetricsRegistry, so a live rmptop poll and a bench JSON line read the same
 // numbers:
 //
@@ -27,6 +28,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/util/bounded_ring.h"
 #include "src/util/config.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
@@ -46,11 +48,8 @@ struct SloParams {
   size_t refresh_every = 64;
 };
 
-// Applies the `slo.*` Config keys over `params`:
-//   slo.target_ms  -> target           (0 = tracker disabled)
-//   slo.window     -> window
-//   slo.budget_per_1k -> budget_fraction (permille of samples allowed over)
-Status ApplySloConfig(const Config& config, SloParams* params);
+// The `slo.*` config table over `params` (README: observability knobs).
+ConfigTable SloConfigKeys(SloParams* params);
 
 class SloTracker {
  public:
@@ -77,6 +76,7 @@ class SloTracker {
 
  private:
   DurationNs P99Locked() const;
+  double BurnRateLocked() const;
   void RefreshLocked();
 
   SloParams params_;
@@ -86,9 +86,8 @@ class SloTracker {
   Gauge* burn_gauge_ = nullptr;
 
   mutable std::mutex mutex_;
-  std::vector<DurationNs> ring_;
-  size_t ring_next_ = 0;
-  size_t ring_size_ = 0;
+  BoundedRing<DurationNs> window_;
+  int64_t violations_ = 0;  // Window samples over target.
   size_t since_refresh_ = 0;
 };
 

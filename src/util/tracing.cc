@@ -58,32 +58,13 @@ const char* TraceStageName(TraceStage stage) {
   return "unknown";
 }
 
-Status ApplyTraceConfig(const Config& config, PageTracerOptions* options) {
-  auto ring = config.GetInt("trace.ring", static_cast<int64_t>(options->ring_capacity));
-  RMP_RETURN_IF_ERROR(ring.status());
-  if (*ring < 0) {
-    return InvalidArgumentError("trace.ring must be >= 0");
-  }
-  options->ring_capacity = static_cast<size_t>(*ring);
-  auto slow_us = config.GetInt("trace.slow_op_us", options->slow_op_ns / 1000);
-  RMP_RETURN_IF_ERROR(slow_us.status());
-  if (*slow_us < 0) {
-    return InvalidArgumentError("trace.slow_op_us must be >= 0");
-  }
-  options->slow_op_ns = *slow_us * 1000;
-  auto sample = config.GetInt("trace.sample_per_1k", options->sample_per_1k);
-  RMP_RETURN_IF_ERROR(sample.status());
-  if (*sample < 0 || *sample > 1000) {
-    return InvalidArgumentError("trace.sample_per_1k must be in [0, 1000]");
-  }
-  options->sample_per_1k = static_cast<int>(*sample);
-  auto spans = config.GetInt("trace.max_spans", static_cast<int64_t>(options->max_spans));
-  RMP_RETURN_IF_ERROR(spans.status());
-  if (*spans < 1) {
-    return InvalidArgumentError("trace.max_spans must be >= 1");
-  }
-  options->max_spans = static_cast<size_t>(*spans);
-  return OkStatus();
+ConfigTable TraceConfigKeys(PageTracerOptions* options) {
+  return {
+      {"trace.ring", ConfigKey::kInt, &options->ring_capacity, 0, 1 << 20},
+      {"trace.slow_op_us", ConfigKey::kInt, &options->slow_op_ns, 0, kNoLimit / 1e3, 1e3},
+      {"trace.sample_per_1k", ConfigKey::kInt, &options->sample_per_1k, 0, 1000},
+      {"trace.max_spans", ConfigKey::kInt, &options->max_spans, 1, 1 << 16},
+  };
 }
 
 DurationNs TraceRecord::StageTime(TraceStage stage) const {
@@ -175,17 +156,11 @@ void PageTracer::AttachServerSpan(uint32_t trace_id, TraceStage stage, TimeNs st
     histogram->Observe(static_cast<double>(duration));
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  // The matching record is usually recent: scan the ring newest-first.
-  for (size_t i = 0; i < ring_size_; ++i) {
-    const size_t index = (ring_next_ + ring_.size() - 1 - i) % ring_.size();
-    TraceRecord& record = ring_[index];
-    if (static_cast<uint32_t>(record.id) != trace_id) {
-      continue;
-    }
-    if (record.spans.size() < options_.max_spans) {
-      record.spans.push_back(TraceSpan{stage, start, duration});
-    }
-    return;
+  // The matching record is usually recent: the ring searches newest-first.
+  TraceRecord* record = ring_.FindNewest(
+      [trace_id](const TraceRecord& r) { return static_cast<uint32_t>(r.id) == trace_id; });
+  if (record != nullptr && record->spans.size() < options_.max_spans) {
+    record->spans.push_back(TraceSpan{stage, start, duration});
   }
 }
 
@@ -193,7 +168,12 @@ void PageTracer::End(uint64_t id, TimeNs now, bool ok) {
   if (id == 0) {
     return;
   }
-  TraceRecord finished;
+  // What the code after the unlock reads; the record itself moves into the ring.
+  TraceOp op;
+  uint64_t page_id;
+  DurationNs total;
+  size_t spans;
+  bool slow;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!active_ || current_.id != id) {
@@ -207,48 +187,37 @@ void PageTracer::End(uint64_t id, TimeNs now, bool ok) {
       RMP_LOG(kDebug) << "trace " << id << " overflowed span cap; " << current_extra_spans_
                       << " spans uncounted in record";
     }
-    finished = std::move(current_);
+    op = current_.op;
+    page_id = current_.page_id;
+    total = current_.total;
+    spans = current_.spans.size();
+    slow = options_.slow_op_ns > 0 && total >= options_.slow_op_ns;
     ++total_traces_;
-    PushLocked(TraceRecord(finished));
-    if (options_.slow_op_ns > 0 && finished.total >= options_.slow_op_ns) {
+    if (ring_.Push(std::move(current_)) && dropped_counter_ != nullptr) {
+      dropped_counter_->Increment();
+    }
+    if (slow) {
       ++slow_ops_;
     }
   }
-  const size_t op_index = static_cast<size_t>(finished.op);
+  const size_t op_index = static_cast<size_t>(op);
   if (slo_ != nullptr) {
-    slo_->Record(finished.total);
+    slo_->Record(total);
   }
   if (total_histograms_[op_index] != nullptr) {
-    total_histograms_[op_index]->Observe(static_cast<double>(finished.total));
+    total_histograms_[op_index]->Observe(static_cast<double>(total));
   }
   if (op_counters_[op_index] != nullptr) {
     op_counters_[op_index]->Increment();
   }
-  if (options_.slow_op_ns > 0 && finished.total >= options_.slow_op_ns) {
+  if (slow) {
     if (slow_counter_ != nullptr) {
       slow_counter_->Increment();
     }
-    RMP_LOG(kWarning) << "slow " << TraceOpName(finished.op) << " page=" << finished.page_id
-                      << " trace=" << finished.id << " took " << finished.total
-                      << " ns (threshold " << options_.slow_op_ns << " ns), "
-                      << finished.spans.size() << " spans, ok=" << (finished.ok ? 1 : 0);
+    RMP_LOG(kWarning) << "slow " << TraceOpName(op) << " page=" << page_id << " trace=" << id
+                      << " took " << total << " ns (threshold " << options_.slow_op_ns
+                      << " ns), " << spans << " spans, ok=" << (ok ? 1 : 0);
   }
-}
-
-void PageTracer::PushLocked(TraceRecord&& record) {
-  if (ring_.empty()) {
-    return;
-  }
-  if (ring_size_ == ring_.size()) {
-    ++dropped_;
-    if (dropped_counter_ != nullptr) {
-      dropped_counter_->Increment();
-    }
-  } else {
-    ++ring_size_;
-  }
-  ring_[ring_next_] = std::move(record);
-  ring_next_ = (ring_next_ + 1) % ring_.size();
 }
 
 bool PageTracer::active() const {
@@ -258,7 +227,7 @@ bool PageTracer::active() const {
 
 size_t PageTracer::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_size_;
+  return ring_.size();
 }
 
 int64_t PageTracer::total_traces() const {
@@ -268,7 +237,7 @@ int64_t PageTracer::total_traces() const {
 
 int64_t PageTracer::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
+  return ring_.dropped();
 }
 
 int64_t PageTracer::slow_ops() const {
@@ -289,9 +258,7 @@ void PageTracer::AttachSlo(SloTracker* slo) {
 void PageTracer::Reconfigure(const PageTracerOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   options_ = options;
-  ring_.assign(options.ring_capacity, TraceRecord());
-  ring_next_ = 0;
-  ring_size_ = 0;
+  ring_.Resize(options.ring_capacity);
   active_ = false;
   current_ = TraceRecord();
   wire_id_.store(0, std::memory_order_relaxed);
@@ -300,14 +267,7 @@ void PageTracer::Reconfigure(const PageTracerOptions& options) {
 
 std::vector<TraceRecord> PageTracer::Records() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceRecord> out;
-  out.reserve(ring_size_);
-  // Oldest record sits at ring_next_ when the ring is full, else at 0.
-  const size_t begin = ring_size_ == ring_.size() ? ring_next_ : 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(begin + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 std::string PageTracer::ToJson() const {
@@ -344,11 +304,8 @@ void PageTracer::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   active_ = false;
   current_ = TraceRecord();
-  ring_.assign(ring_.size(), TraceRecord());
-  ring_next_ = 0;
-  ring_size_ = 0;
+  ring_ = BoundedRing<TraceRecord>(ring_.capacity());
   total_traces_ = 0;
-  dropped_ = 0;
   slow_ops_ = 0;
   sampled_out_ = 0;
   wire_id_.store(0, std::memory_order_relaxed);
@@ -361,69 +318,37 @@ void SpanRing::Record(uint32_t trace_id, TraceStage stage, TimeNs start, Duratio
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) {
-    return;
-  }
-  if (ring_size_ == ring_.size()) {
-    ++dropped_;
-  } else {
-    ++ring_size_;
-  }
-  ring_[ring_next_] = ServerSpan{trace_id, stage, start, duration};
-  ring_next_ = (ring_next_ + 1) % ring_.size();
+  ring_.Push(ServerSpan{trace_id, stage, start, duration});
 }
 
 std::vector<ServerSpan> SpanRing::Spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ServerSpan> out;
-  out.reserve(ring_size_);
-  const size_t begin = ring_size_ == ring_.size() ? ring_next_ : 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(begin + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 std::vector<ServerSpan> SpanRing::Drain() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ServerSpan> out;
-  out.reserve(ring_size_);
-  const size_t begin = ring_size_ == ring_.size() ? ring_next_ : 0;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(begin + i) % ring_.size()]);
-  }
-  ring_next_ = 0;
-  ring_size_ = 0;
-  return out;
+  return ring_.Drain();
 }
 
 size_t SpanRing::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_size_;
+  return ring_.size();
 }
 
 int64_t SpanRing::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
+  return ring_.dropped();
 }
 
 size_t SpanRing::capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
+  return ring_.capacity();
 }
 
 void SpanRing::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_.assign(capacity, ServerSpan());
-  ring_next_ = 0;
-  ring_size_ = 0;
-}
-
-void SpanRing::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_next_ = 0;
-  ring_size_ = 0;
-  dropped_ = 0;
+  ring_.Resize(capacity);
 }
 
 std::string SpanRing::ToJson() const {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/bounded_ring.h"
 #include "src/util/config.h"
 #include "src/util/metrics.h"
 #include "src/util/slo.h"
@@ -107,14 +108,8 @@ struct PageTracerOptions {
   int sample_per_1k = 1000;
 };
 
-// Applies the `trace.*` Config keys (README: observability knobs) over
-// `options`:
-//   trace.ring          -> ring_capacity   (0 = no ring)
-//   trace.slow_op_us    -> slow_op_ns      (0 = slow-op check disabled)
-//   trace.sample_per_1k -> sample_per_1k   (0 = tracer disabled entirely)
-//   trace.max_spans     -> max_spans
-// Absent keys keep the current values.
-Status ApplyTraceConfig(const Config& config, PageTracerOptions* options);
+// The `trace.*` config table over `options` (README: observability knobs).
+ConfigTable TraceConfigKeys(PageTracerOptions* options);
 
 // Not copyable; hand out pointers. Thread-safe (one mutex — tracing is for
 // observability, not a contended hot path), but only one trace is active at
@@ -179,8 +174,6 @@ class PageTracer {
   int64_t sampled_out() const;  // Begins skipped by head sampling.
 
  private:
-  void PushLocked(TraceRecord&& record);
-
   PageTracerOptions options_;  // Guarded by mutex_ (Reconfigure rewrites it).
   MetricsRegistry* registry_;  // May be null: ring + log only.
   // Cached metric pointers (stable for the registry's lifetime).
@@ -204,11 +197,8 @@ class PageTracer {
   uint64_t next_id_ = 1;
   uint64_t sample_seq_ = 0;  // Operations offered to Begin (sampling rotation).
   int64_t sampled_out_ = 0;
-  std::vector<TraceRecord> ring_;
-  size_t ring_next_ = 0;  // Next slot to (over)write.
-  size_t ring_size_ = 0;
+  BoundedRing<TraceRecord> ring_;
   int64_t total_traces_ = 0;
-  int64_t dropped_ = 0;
   int64_t slow_ops_ = 0;
 };
 
@@ -266,24 +256,21 @@ class SpanRing {
 
   // Ring contents, oldest first.
   std::vector<ServerSpan> Spans() const;
-  // Spans() + Clear() in one critical section (the stitch pull).
+  // Moves the ring's contents out, oldest first, leaving it empty (the
+  // stitch pull).
   std::vector<ServerSpan> Drain();
 
   size_t size() const;
   int64_t dropped() const;  // Ring overwrites.
   size_t capacity() const;
   void SetCapacity(size_t capacity);  // Clears the ring.
-  void Clear();
 
   // JSON array: [{"trace":..,"stage":"srv_service","start":..,"dur":..},...].
   std::string ToJson() const;
 
  private:
   mutable std::mutex mutex_;
-  std::vector<ServerSpan> ring_;
-  size_t ring_next_ = 0;
-  size_t ring_size_ = 0;
-  int64_t dropped_ = 0;
+  BoundedRing<ServerSpan> ring_;
 };
 
 // Per-thread scratch carrying measurements across the layers of one traced

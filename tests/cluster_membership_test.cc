@@ -508,7 +508,7 @@ TEST(ClusterMembershipTest, ClusterConfigKnobsApply) {
   ElasticParams elastic;
   RepairParams repair;
   RemotePagerParams pager;
-  ASSERT_TRUE(ApplyClusterConfig(*config, &elastic, &repair, &pager).ok());
+  ASSERT_TRUE(ApplyConfig(*config, ClusterConfigKeys(&elastic, &repair, &pager)).ok());
   EXPECT_EQ(elastic.page_groups, 128u);
   EXPECT_EQ(repair.rebalance_pages_per_sec, 500u);
   EXPECT_EQ(repair.rebalance_burst_pages, 8u);
@@ -516,7 +516,7 @@ TEST(ClusterMembershipTest, ClusterConfigKnobsApply) {
 
   auto bad = Config::Parse("cluster.page_groups = 0\n");
   ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(ApplyClusterConfig(*bad, &elastic, nullptr, nullptr).ok());
+  EXPECT_FALSE(ApplyConfig(*bad, ClusterConfigKeys(&elastic, nullptr, nullptr)).ok());
 }
 
 }  // namespace

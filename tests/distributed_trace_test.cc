@@ -156,7 +156,7 @@ TEST(DistributedTraceTest, TraceConfigKeysReconfigureTheTracerLive) {
       "trace.max_spans = 8\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   PageTracerOptions options;
-  ASSERT_TRUE(ApplyTraceConfig(*config, &options).ok());
+  ASSERT_TRUE(ApplyConfig(*config, TraceConfigKeys(&options)).ok());
   EXPECT_EQ(options.ring_capacity, 4u);
   EXPECT_EQ(options.slow_op_ns, 2000);
   EXPECT_EQ(options.max_spans, 8u);
@@ -174,7 +174,7 @@ TEST(DistributedTraceTest, TraceConfigKeysReconfigureTheTracerLive) {
   // slow_op_us = 0 documents "check disabled": the same op no longer counts.
   auto off = Config::Parse("trace.slow_op_us = 0\n");
   ASSERT_TRUE(off.ok());
-  ASSERT_TRUE(ApplyTraceConfig(*off, &options).ok());
+  ASSERT_TRUE(ApplyConfig(*off, TraceConfigKeys(&options)).ok());
   EXPECT_EQ(options.slow_op_ns, 0);
   tracer.Reconfigure(options);
   const uint64_t id2 = tracer.Begin(TraceOp::kPageOut, 2, 0);
@@ -185,7 +185,7 @@ TEST(DistributedTraceTest, TraceConfigKeysReconfigureTheTracerLive) {
   // trace.ring = 0 documents "no ring": Begin declines, histograms still run.
   auto no_ring = Config::Parse("trace.ring = 0\n");
   ASSERT_TRUE(no_ring.ok());
-  ASSERT_TRUE(ApplyTraceConfig(*no_ring, &options).ok());
+  ASSERT_TRUE(ApplyConfig(*no_ring, TraceConfigKeys(&options)).ok());
   tracer.Reconfigure(options);
   EXPECT_EQ(tracer.Begin(TraceOp::kPageIn, 3, 0), 0u);
   tracer.Span(TraceStage::kService, 0, 500);
@@ -203,7 +203,7 @@ TEST(DistributedTraceTest, ObservabilityConfigReachesServersAndPager) {
       "slo.target_ms = 5\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   TestbedParams params;
-  ASSERT_TRUE(ApplyObservabilityConfig(*config, &params).ok());
+  ASSERT_TRUE(ApplyConfig(*config, ObservabilityConfigKeys(&params)).ok());
   EXPECT_EQ(params.pager.trace.sample_per_1k, 250);
   EXPECT_EQ(params.server_span_ring, 16u);
   EXPECT_EQ(params.pager.events.ring_capacity, 32u);

@@ -114,7 +114,7 @@ TEST(EventJournalTest, EventsConfigKeysApply) {
       "events.max_detail = 8\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EventJournalOptions options;
-  ASSERT_TRUE(ApplyEventsConfig(*config, &options).ok());
+  ASSERT_TRUE(ApplyConfig(*config, EventsConfigKeys(&options)).ok());
   EXPECT_EQ(options.ring_capacity, 2u);
   EXPECT_EQ(options.max_detail_bytes, 8u);
   EventJournal journal(options);
@@ -127,7 +127,7 @@ TEST(EventJournalTest, EventsConfigKeysApply) {
   // events.ring = 0 documents "journal disabled".
   auto off = Config::Parse("events.ring = 0\n");
   ASSERT_TRUE(off.ok());
-  ASSERT_TRUE(ApplyEventsConfig(*off, &options).ok());
+  ASSERT_TRUE(ApplyConfig(*off, EventsConfigKeys(&options)).ok());
   EXPECT_EQ(options.ring_capacity, 0u);
 }
 

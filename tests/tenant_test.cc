@@ -256,6 +256,11 @@ TEST(TenantTest, UnknownTenantsAreAttributedWhenNotStrict) {
 
 // --- Config parsing ----------------------------------------------------------
 
+Status ApplyTenantConfig(const Config& config, TenantPolicyParams* params) {
+  auto table = TenantConfigKeys(config, params);
+  return table.ok() ? ApplyConfig(config, *table) : table.status();
+}
+
 TEST(TenantTest, ApplyTenantConfigParsesQuotaRows) {
   auto config = Config::Parse(
       "tenant.strict = true\n"
@@ -283,7 +288,14 @@ TEST(TenantTest, ApplyTenantConfigRejectsHostileKeys) {
                            "tenant.7.mystery = 1\n",       // Unknown field.
                            "tenant.999999.quota_pages = 1\n",  // Past kMaxTenantId.
                            "tenant.7x.quota_pages = 1\n",   // Non-numeric id.
-                           "tenant.7.weight = 4\n"}) {     // Nothing reads it.
+                           "tenant.07.quota_pages = 1\n",   // Leading zero.
+                           "tenant.7.weight = 4\n",       // Nothing reads it.
+                           // One out-of-range value per key.
+                           "tenant.strict = maybe\n",
+                           "tenant.7.quota_pages = -1\n",
+                           "tenant.7.rate = -1\n",
+                           "tenant.7.burst = 0\n",
+                           "tenant.7.advise_fraction = 1.5\n"}) {
     auto config = Config::Parse(text);
     ASSERT_TRUE(config.ok());
     EXPECT_FALSE(ApplyTenantConfig(*config, &params).ok()) << text;

@@ -310,7 +310,7 @@ TEST(TierTest, ApplyStoreConfigReadsTierKnobs) {
       "store.overcommit = 1.5\n");
   ASSERT_TRUE(config.ok());
   MemoryServerParams params;
-  ASSERT_TRUE(ApplyStoreConfig(*config, &params).ok());
+  ASSERT_TRUE(ApplyConfig(*config, StoreConfigKeys(&params)).ok());
   EXPECT_EQ(params.store_shards, 4u);
   EXPECT_EQ(params.tier.hot_page_limit, 256u);
   EXPECT_FALSE(params.tier.compress);
@@ -322,7 +322,7 @@ TEST(TierTest, ApplyStoreConfigReadsTierKnobs) {
   // Malformed values surface as errors instead of silently defaulting.
   auto bad = Config::Parse("store.hot_pages = lots\n");
   ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(ApplyStoreConfig(*bad, &params).ok());
+  EXPECT_FALSE(ApplyConfig(*bad, StoreConfigKeys(&params)).ok());
 }
 
 TEST(TierTest, CompressionDisabledStoresRawButStillTiers) {
