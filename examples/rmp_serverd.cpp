@@ -13,8 +13,9 @@
 //   run_seconds    = 0        # 0 = run until killed
 //   auth_token     =          # non-empty: require AUTH from every client
 // plus the store.* tuning keys (sharding, compressed cold tier, spill —
-// see the README knob table and StoreConfigKeys). Any other key without a
-// '.', or under store., is rejected.
+// see the README knob table and StoreConfigKeys) and the tenant.* quota keys
+// (TenantConfigKeys). Any other key without a '.', or under store. or
+// tenant., is rejected.
 
 #include <chrono>
 #include <cstdio>
@@ -56,7 +57,13 @@ int Main(int argc, char** argv) {
   };
   const ConfigTable store = StoreConfigKeys(&server_params);
   table.insert(table.end(), store.begin(), store.end());
-  if (Status applied = ApplyConfig(config, table); !applied.ok()) {
+  auto tenants = TenantConfigKeys(config, &server_params.tenants);
+  Status applied = tenants.status();
+  if (applied.ok()) {
+    table.insert(table.end(), tenants->begin(), tenants->end());
+    applied = ApplyConfig(config, table);
+  }
+  if (!applied.ok()) {
     std::fprintf(stderr, "config: %s\n", applied.ToString().c_str());
     return 1;
   }

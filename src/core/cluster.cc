@@ -9,9 +9,9 @@
 namespace rmp {
 namespace {
 
-// Request types that carry the client's map epoch in `aux` (DESIGN.md §16) —
-// the ops the server's epoch gate examines. Control traffic stays unstamped
-// so it keeps flowing while a client is mid-refresh.
+// Request types that carry the client's map epoch (DESIGN.md §16) — the ops
+// the server's epoch gate examines. Control traffic stays unstamped so it
+// keeps flowing while a client is mid-refresh.
 bool EpochStamped(MessageType type) {
   switch (type) {
     case MessageType::kAllocRequest:
@@ -64,31 +64,29 @@ void ServerPeer::DropPool() {
   returned_.clear();
 }
 
+void ServerPeer::Stamp(Message* request) const {
+  if (request->tenant == 0) {
+    request->tenant = tenant_;
+  }
+  // The data ops carry the map epoch they were routed by and, when tracing is
+  // attached, the operation's trace id: the server's epoch gate examines
+  // exactly these ops, and they are the ones with server-side stages worth
+  // measuring.
+  if (EpochStamped(request->type)) {
+    request->epoch = epoch_;
+    if (trace_source_ != nullptr) {
+      request->trace_id = trace_source_->load(std::memory_order_relaxed);
+    }
+  }
+}
+
 Result<Message> ServerPeer::Call(Message request) {
-  if (request.tenant == 0) {
-    request.tenant = tenant_;
-  }
-  if (epoch_ != 0 && request.aux == 0 && EpochStamped(request.type)) {
-    request.aux = epoch_;
-  }
-  // Trace ids ride only on the data ops that have server-side stages worth
-  // measuring — the same set the epoch gate covers.
-  if (trace_source_ != nullptr && EpochStamped(request.type)) {
-    StampTraceId(&request, trace_source_->load(std::memory_order_relaxed));
-  }
+  Stamp(&request);
   return transport_->Call(request);
 }
 
 RpcFuture ServerPeer::CallAsync(Message request) {
-  if (request.tenant == 0) {
-    request.tenant = tenant_;
-  }
-  if (epoch_ != 0 && request.aux == 0 && EpochStamped(request.type)) {
-    request.aux = epoch_;
-  }
-  if (trace_source_ != nullptr && EpochStamped(request.type)) {
-    StampTraceId(&request, trace_source_->load(std::memory_order_relaxed));
-  }
+  Stamp(&request);
   return transport_->CallAsync(std::move(request));
 }
 

@@ -41,27 +41,26 @@ class ServerPeer {
   void set_stopped(bool stopped) { stopped_ = stopped; }
 
   // Tenant id stamped onto every outgoing request that does not already
-  // carry one (DESIGN.md §15). 0 = legacy/untenanted: requests go out
-  // untagged and a tenant-enforcing server attributes them to the session's
-  // AUTH-bound tenant (or the legacy lane). Set once at cluster assembly,
+  // carry one (DESIGN.md §15). 0 = untenanted: requests go out untagged and
+  // a tenant-enforcing server attributes them to the session's AUTH-bound
+  // tenant (or the untenanted lane). Set once at cluster assembly,
   // before any RPC.
   uint16_t tenant() const { return tenant_; }
   void set_tenant(uint16_t tenant) { tenant_ = tenant; }
 
-  // Cluster-map epoch stamped (in the `aux` header field) onto every
-  // epoch-gated data request (DESIGN.md §16). 0 = no map adopted: requests go
-  // out unstamped and the server's epoch gate ignores them. Updated by
+  // Cluster-map epoch stamped onto every epoch-gated data request
+  // (DESIGN.md §16). 0 = no map adopted: the server's epoch gate lets such
+  // requests pass. Updated by
   // RemotePagerBase whenever it adopts a newer map.
   uint64_t epoch() const { return epoch_; }
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
   // Distributed-trace stamping (DESIGN.md §17): when attached, every
   // epoch-gated data request reads this atomic (the client PageTracer's
-  // active trace id, 0 = none) and, if nonzero, carries it in the reserved
-  // `status` header bytes with the TRACED flag set. The same id is re-stamped
-  // on every retry of the operation — including retries against a *different*
-  // peer after failover — so server spans from all attempts stitch into one
-  // trace. Null (the default) leaves the wire format untouched.
+  // active trace id, 0 = none) into the header's `trace_id`. The same id is
+  // re-stamped on every retry of the operation — including retries against a
+  // *different* peer after failover — so server spans from all attempts
+  // stitch into one trace. Null (the default) sends every request untraced.
   void set_trace_source(const std::atomic<uint32_t>* source) { trace_source_ = source; }
 
   // ADVISE_STOP semantics (§2.1): "send no more pages to this server" means
@@ -208,8 +207,10 @@ class ServerPeer {
 
  private:
   uint64_t NextRequestId() { return ++request_id_; }
-  // Transport forwarders that stamp tenant_ onto untagged requests; every
-  // RPC helper goes through one of them.
+  // Stamps the tenant, epoch and trace id this peer sends with.
+  void Stamp(Message* request) const;
+  // Transport forwarders that Stamp every request; every RPC helper goes
+  // through one of them.
   Result<Message> Call(Message request);
   RpcFuture CallAsync(Message request);
   void NoteSent(int64_t n) {

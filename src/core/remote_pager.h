@@ -118,7 +118,7 @@ class RemotePagerBase : public PagingBackend {
   virtual uint64_t PagesOn(size_t peer) const;
 
   // Adopts `map` when it is newer than the current one: records it, stamps
-  // every peer's epoch (so subsequent data ops carry it in `aux`), and lets
+  // every peer's epoch (so subsequent data ops carry it), and lets
   // the map drive peer placement state (kLeaving / absent members stop
   // receiving new pages). When `publish` is set, best-effort MAP_PUBLISHes
   // the map to every alive peer — the client doubles as map coordinator, the

@@ -71,7 +71,7 @@ struct TestbedParams {
   // Per-tenant QoS policy applied to every server (empty = tenant
   // enforcement off, the byte-identical legacy path; DESIGN.md §15).
   TenantPolicyParams tenants;
-  // Tenant id stamped onto every client RPC (0 = legacy/untenanted).
+  // Tenant id stamped onto every client RPC (0 = untenanted).
   uint16_t client_tenant = 0;
   // Server-side observability (DESIGN.md §17): span-ring capacity and
   // flight-recorder journal options applied to every server. The client

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "src/util/checksum.h"
 #include "src/util/units.h"
@@ -46,6 +48,13 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// The header CRC covers every prefix byte before it.
+constexpr size_t kHeaderCrcOffset = kWirePrefixSize - 4;
+
+uint32_t Code(ErrorCode status) { return static_cast<uint32_t>(status); }
+
+uint8_t AdviseStop(bool advise_stop) { return advise_stop ? kFlagAdviseStop : 0; }
+
 bool ValidType(uint8_t t) {
   return t >= static_cast<uint8_t>(MessageType::kAllocRequest) &&
          t <= static_cast<uint8_t>(MessageType::kEventsReply);
@@ -54,86 +63,18 @@ bool ValidType(uint8_t t) {
 }  // namespace
 
 std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kAllocRequest:
-      return "ALLOC_REQUEST";
-    case MessageType::kAllocReply:
-      return "ALLOC_REPLY";
-    case MessageType::kFreeRequest:
-      return "FREE_REQUEST";
-    case MessageType::kFreeReply:
-      return "FREE_REPLY";
-    case MessageType::kPageOut:
-      return "PAGEOUT";
-    case MessageType::kPageOutAck:
-      return "PAGEOUT_ACK";
-    case MessageType::kPageIn:
-      return "PAGEIN";
-    case MessageType::kPageInReply:
-      return "PAGEIN_REPLY";
-    case MessageType::kLoadQuery:
-      return "LOAD_QUERY";
-    case MessageType::kLoadReport:
-      return "LOAD_REPORT";
-    case MessageType::kShutdown:
-      return "SHUTDOWN";
-    case MessageType::kErrorReply:
-      return "ERROR_REPLY";
-    case MessageType::kDeltaPageOut:
-      return "DELTA_PAGEOUT";
-    case MessageType::kXorMerge:
-      return "XOR_MERGE";
-    case MessageType::kXorMergeAck:
-      return "XOR_MERGE_ACK";
-    case MessageType::kAuth:
-      return "AUTH";
-    case MessageType::kAuthReply:
-      return "AUTH_REPLY";
-    case MessageType::kPageOutBatch:
-      return "PAGEOUT_BATCH";
-    case MessageType::kPageOutBatchAck:
-      return "PAGEOUT_BATCH_ACK";
-    case MessageType::kPageInBatch:
-      return "PAGEIN_BATCH";
-    case MessageType::kPageInBatchReply:
-      return "PAGEIN_BATCH_REPLY";
-    case MessageType::kHeartbeat:
-      return "HEARTBEAT";
-    case MessageType::kHeartbeatAck:
-      return "HEARTBEAT_ACK";
-    case MessageType::kMigrate:
-      return "MIGRATE";
-    case MessageType::kMigrateReply:
-      return "MIGRATE_REPLY";
-    case MessageType::kStatsQuery:
-      return "STATS_QUERY";
-    case MessageType::kStatsReply:
-      return "STATS_REPLY";
-    case MessageType::kTraceDump:
-      return "TRACE_DUMP";
-    case MessageType::kTraceDumpReply:
-      return "TRACE_DUMP_REPLY";
-    case MessageType::kMapQuery:
-      return "MAP_QUERY";
-    case MessageType::kMapReply:
-      return "MAP_REPLY";
-    case MessageType::kMapPublish:
-      return "MAP_PUBLISH";
-    case MessageType::kMapPublishAck:
-      return "MAP_PUBLISH_ACK";
-    case MessageType::kEventsQuery:
-      return "EVENTS_QUERY";
-    case MessageType::kEventsReply:
-      return "EVENTS_REPLY";
-  }
-  return "UNKNOWN";
-}
-
-bool Message::operator==(const Message& other) const {
-  return type == other.type && flags == other.flags && tenant == other.tenant &&
-         request_id == other.request_id &&
-         slot == other.slot && count == other.count && aux == other.aux &&
-         status == other.status && payload == other.payload;
+  // Indexed by type - 1; ValidType bounds the enum.
+  static constexpr std::string_view kNames[] = {
+      "ALLOC_REQUEST", "ALLOC_REPLY", "FREE_REQUEST", "FREE_REPLY", "PAGEOUT", "PAGEOUT_ACK",
+      "PAGEIN", "PAGEIN_REPLY", "LOAD_QUERY", "LOAD_REPORT", "SHUTDOWN", "ERROR_REPLY",
+      "DELTA_PAGEOUT", "XOR_MERGE", "XOR_MERGE_ACK", "AUTH", "AUTH_REPLY", "PAGEOUT_BATCH",
+      "PAGEOUT_BATCH_ACK", "PAGEIN_BATCH", "PAGEIN_BATCH_REPLY", "HEARTBEAT", "HEARTBEAT_ACK",
+      "MIGRATE", "MIGRATE_REPLY", "STATS_QUERY", "STATS_REPLY", "TRACE_DUMP", "TRACE_DUMP_REPLY",
+      "MAP_QUERY", "MAP_REPLY", "MAP_PUBLISH", "MAP_PUBLISH_ACK", "EVENTS_QUERY", "EVENTS_REPLY",
+  };
+  static_assert(std::size(kNames) == static_cast<size_t>(MessageType::kEventsReply));
+  const auto t = static_cast<uint8_t>(type);
+  return ValidType(t) ? kNames[t - 1] : "UNKNOWN";
 }
 
 uint32_t PayloadCrc(std::span<const uint8_t> payload) {
@@ -141,75 +82,82 @@ uint32_t PayloadCrc(std::span<const uint8_t> payload) {
 }
 
 void EncodeHeader(const Message& message, uint32_t payload_crc, uint8_t* out) {
-  static_assert(kWireHeaderSize == 48, "layout audit");
   StoreU32(out, kWireMagic);
   out[4] = static_cast<uint8_t>(message.type);
   out[5] = message.flags;
-  StoreU16(out + 6, message.tenant);  // Was reserved-zero pre-§15; tenant 0
-                                      // keeps the encoding byte-identical.
+  StoreU16(out + 6, message.tenant);
   StoreU64(out + 8, message.request_id);
   StoreU64(out + 16, message.slot);
   StoreU64(out + 24, message.count);
   StoreU64(out + 32, message.aux);
-  StoreU32(out + 40, message.status);
-  StoreU32(out + 44, payload_crc);
-  StoreU32(out + 48, static_cast<uint32_t>(message.payload.size()));
+  StoreU64(out + 40, message.epoch);
+  StoreU32(out + 48, message.status);
+  StoreU32(out + 52, message.trace_id);
+  StoreU32(out + 56, payload_crc);
+  StoreU32(out + 60, static_cast<uint32_t>(message.payload.size()));
+  SealHeader(out);
+}
+
+void SealHeader(uint8_t* prefix) {
+  StoreU32(prefix + kHeaderCrcOffset,
+           Crc32c(std::span<const uint8_t>(prefix, kHeaderCrcOffset)));
 }
 
 Result<WireHeader> DecodeHeader(std::span<const uint8_t> prefix) {
-  if (prefix.size() < kWirePrefixSize) {
-    return ProtocolError("message shorter than header");
-  }
   const uint8_t* p = prefix.data();
-  if (GetU32(p) != kWireMagic) {
+  if (prefix.size() >= 4 && GetU32(p) != kWireMagic) {
     return ProtocolError("bad magic");
+  }
+  if (prefix.size() < kWirePrefixSize) {
+    return NotFoundError("incomplete header");
+  }
+  if (Crc32c(prefix.first(kHeaderCrcOffset)) != GetU32(p + kHeaderCrcOffset)) {
+    return CorruptionError("header CRC mismatch");
   }
   const uint8_t raw_type = p[4];
   if (!ValidType(raw_type)) {
     return ProtocolError("unknown message type " + std::to_string(raw_type));
   }
-  const uint16_t tenant = GetU16(p + 6);
-  if (tenant > kMaxTenantId) {
-    // Bound the id space before any per-tenant state exists: a flipped bit in
-    // the old reserved field must not conjure 65k metric/queue series.
-    return ProtocolError("tenant id " + std::to_string(tenant) + " exceeds wire maximum");
-  }
   WireHeader h;
-  h.type = static_cast<MessageType>(raw_type);
-  h.flags = p[5];
-  h.tenant = tenant;
-  h.request_id = GetU64(p + 8);
-  h.slot = GetU64(p + 16);
-  h.count = GetU64(p + 24);
-  h.aux = GetU64(p + 32);
-  h.status = GetU32(p + 40);
-  h.payload_crc = GetU32(p + 44);
-  h.payload_len = GetU32(p + 48);
+  Message& m = h.message;
+  m.type = static_cast<MessageType>(raw_type);
+  m.flags = p[5];
+  m.tenant = GetU16(p + 6);
+  if (m.tenant > kMaxTenantId) {
+    // Bound the id space before any per-tenant state exists: a sender must
+    // not be able to conjure 65k metric/queue series.
+    return ProtocolError("tenant id " + std::to_string(m.tenant) + " exceeds wire maximum");
+  }
+  m.request_id = GetU64(p + 8);
+  m.slot = GetU64(p + 16);
+  m.count = GetU64(p + 24);
+  m.aux = GetU64(p + 32);
+  m.epoch = GetU64(p + 40);
+  m.status = GetU32(p + 48);
+  m.trace_id = GetU32(p + 52);
+  h.payload_crc = GetU32(p + 56);
+  h.payload_len = GetU32(p + 60);
   if (h.payload_len > kMaxWirePayload) {
+    // A length past the bound must not drive an allocation or make a reader
+    // buffer gigabytes waiting for a payload that never ends.
     return ProtocolError("payload length " + std::to_string(h.payload_len) +
                          " exceeds wire maximum");
   }
   return h;
 }
 
-Message MessageFromHeader(const WireHeader& header) {
-  Message m;
-  m.type = header.type;
-  m.flags = header.flags;
-  m.tenant = header.tenant;
-  m.request_id = header.request_id;
-  m.slot = header.slot;
-  m.count = header.count;
-  m.aux = header.aux;
-  m.status = header.status;
-  return m;
+Result<Message> DecodePayload(WireHeader header, std::vector<uint8_t> payload) {
+  if (PayloadCrc(payload) != header.payload_crc) {
+    return CorruptionError("payload CRC mismatch");
+  }
+  header.message.payload = std::move(payload);
+  return std::move(header.message);
 }
 
 void EncodeTo(const Message& message, std::vector<uint8_t>* out) {
   const size_t base = out->size();
   out->resize(base + kWirePrefixSize);
-  EncodeHeader(message, PayloadCrc(std::span<const uint8_t>(message.payload)),
-               out->data() + base);
+  EncodeHeader(message, PayloadCrc(message.payload), out->data() + base);
   out->insert(out->end(), message.payload.begin(), message.payload.end());
 }
 
@@ -222,18 +170,16 @@ std::vector<uint8_t> Encode(const Message& message) {
 
 Result<Message> Decode(std::span<const uint8_t> bytes) {
   auto header = DecodeHeader(bytes);
+  if (header.status().code() == ErrorCode::kNotFound) {
+    return ProtocolError("message shorter than header");
+  }
   if (!header.ok()) {
     return header.status();
   }
   if (bytes.size() != kWirePrefixSize + header->payload_len) {
     return ProtocolError("payload length mismatch");
   }
-  Message m = MessageFromHeader(*header);
-  m.payload.assign(bytes.begin() + kWirePrefixSize, bytes.end());
-  if (PayloadCrc(std::span<const uint8_t>(m.payload)) != header->payload_crc) {
-    return CorruptionError("payload CRC mismatch");
-  }
-  return m;
+  return DecodePayload(std::move(*header), {bytes.begin() + kWirePrefixSize, bytes.end()});
 }
 
 void FrameReader::Feed(std::span<const uint8_t> bytes) {
@@ -241,293 +187,165 @@ void FrameReader::Feed(std::span<const uint8_t> bytes) {
 }
 
 Result<Message> FrameReader::Next() {
-  if (buffer_.size() < kWirePrefixSize) {
-    return NotFoundError("incomplete header");
+  // A bad prefix fails here, before a byte of its payload is waited for.
+  auto header = DecodeHeader(buffer_);
+  if (!header.ok()) {
+    return header.status();
   }
-  if (GetU32(buffer_.data()) != kWireMagic) {
-    return ProtocolError("stream desynchronized: bad magic");
-  }
-  const uint32_t payload_len = GetU32(buffer_.data() + kWireHeaderSize);
-  if (payload_len > kMaxWirePayload) {
-    // Reject the hostile length as soon as the prefix is in: waiting for
-    // payload_len more bytes would let a corrupt frame demand gigabytes of
-    // buffering before DecodeHeader ever saw it.
-    return ProtocolError("payload length " + std::to_string(payload_len) +
-                         " exceeds wire limit");
-  }
-  const size_t total = kWirePrefixSize + payload_len;
+  const size_t total = kWirePrefixSize + header->payload_len;
   if (buffer_.size() < total) {
     return NotFoundError("incomplete payload");
   }
-  auto result = Decode(std::span<const uint8_t>(buffer_.data(), total));
-  // Consume the frame even on decode failure so a corrupt message cannot
-  // wedge the stream forever; the caller drops the connection on error.
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<ptrdiff_t>(total));
-  return result;
+  const auto end = buffer_.begin() + static_cast<ptrdiff_t>(total);
+  std::vector<uint8_t> payload(buffer_.begin() + kWirePrefixSize, end);
+  // Consume the frame even when its payload fails the CRC so a corrupt
+  // message cannot wedge the stream forever; the caller drops the connection
+  // on error.
+  buffer_.erase(buffer_.begin(), end);
+  return DecodePayload(std::move(*header), std::move(payload));
 }
 
+// The Make* constructors name only the fields they set; every other field
+// keeps its member default, which -Wmissing-field-initializers cannot see.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
+
 Message MakeAllocRequest(uint64_t request_id, uint64_t pages) {
-  Message m;
-  m.type = MessageType::kAllocRequest;
-  m.request_id = request_id;
-  m.count = pages;
-  return m;
+  return {.type = MessageType::kAllocRequest, .request_id = request_id, .count = pages};
 }
 
 Message MakeAllocReply(uint64_t request_id, uint64_t granted, ErrorCode status) {
-  Message m;
-  m.type = MessageType::kAllocReply;
-  m.request_id = request_id;
-  m.count = granted;
-  m.status = static_cast<uint32_t>(status);
-  return m;
+  return {.type = MessageType::kAllocReply, .request_id = request_id, .count = granted,
+          .status = Code(status)};
 }
 
 Message MakePageOut(uint64_t request_id, uint64_t slot, std::span<const uint8_t> data) {
-  Message m;
-  m.type = MessageType::kPageOut;
-  m.request_id = request_id;
-  m.slot = slot;
-  m.payload.assign(data.begin(), data.end());
-  return m;
+  return {.type = MessageType::kPageOut, .request_id = request_id, .slot = slot,
+          .payload = {data.begin(), data.end()}};
 }
 
 Message MakePageOutAck(uint64_t request_id, uint64_t slot, ErrorCode status, bool advise_stop) {
-  Message m;
-  m.type = MessageType::kPageOutAck;
-  m.request_id = request_id;
-  m.slot = slot;
-  m.status = static_cast<uint32_t>(status);
-  if (advise_stop) {
-    m.flags |= kFlagAdviseStop;
-  }
-  return m;
+  return {.type = MessageType::kPageOutAck, .flags = AdviseStop(advise_stop),
+          .request_id = request_id, .slot = slot, .status = Code(status)};
 }
 
 Message MakePageIn(uint64_t request_id, uint64_t slot) {
-  Message m;
-  m.type = MessageType::kPageIn;
-  m.request_id = request_id;
-  m.slot = slot;
-  return m;
+  return {.type = MessageType::kPageIn, .request_id = request_id, .slot = slot};
 }
 
 Message MakePageInReply(uint64_t request_id, uint64_t slot, std::span<const uint8_t> data,
                         ErrorCode status) {
-  Message m;
-  m.type = MessageType::kPageInReply;
-  m.request_id = request_id;
-  m.slot = slot;
-  m.status = static_cast<uint32_t>(status);
-  m.payload.assign(data.begin(), data.end());
-  return m;
+  return {.type = MessageType::kPageInReply, .request_id = request_id, .slot = slot,
+          .status = Code(status), .payload = {data.begin(), data.end()}};
 }
 
 Message MakeFreeRequest(uint64_t request_id, uint64_t first_slot, uint64_t pages) {
-  Message m;
-  m.type = MessageType::kFreeRequest;
-  m.request_id = request_id;
-  m.slot = first_slot;
-  m.count = pages;
-  return m;
+  return {.type = MessageType::kFreeRequest, .request_id = request_id, .slot = first_slot,
+          .count = pages};
 }
 
 Message MakeLoadQuery(uint64_t request_id) {
-  Message m;
-  m.type = MessageType::kLoadQuery;
-  m.request_id = request_id;
-  return m;
+  return {.type = MessageType::kLoadQuery, .request_id = request_id};
 }
 
 Message MakeLoadReport(uint64_t request_id, uint64_t free_pages, uint64_t total_pages,
                        bool advise_stop) {
-  Message m;
-  m.type = MessageType::kLoadReport;
-  m.request_id = request_id;
-  m.count = free_pages;
-  m.aux = total_pages;
-  if (advise_stop) {
-    m.flags |= kFlagAdviseStop;
-  }
-  return m;
+  return {.type = MessageType::kLoadReport, .flags = AdviseStop(advise_stop),
+          .request_id = request_id, .count = free_pages, .aux = total_pages};
 }
 
 Message MakeHeartbeat(uint64_t request_id) {
-  Message m;
-  m.type = MessageType::kHeartbeat;
-  m.request_id = request_id;
-  return m;
+  return {.type = MessageType::kHeartbeat, .request_id = request_id};
 }
 
 Message MakeHeartbeatAck(uint64_t request_id, uint64_t incarnation, uint64_t free_pages,
                          uint64_t total_pages, bool advise_stop) {
-  Message m;
-  m.type = MessageType::kHeartbeatAck;
-  m.request_id = request_id;
-  m.slot = incarnation;
-  m.count = free_pages;
-  m.aux = total_pages;
-  if (advise_stop) {
-    m.flags |= kFlagAdviseStop;
-  }
-  return m;
+  return {.type = MessageType::kHeartbeatAck, .flags = AdviseStop(advise_stop),
+          .request_id = request_id, .slot = incarnation, .count = free_pages,
+          .aux = total_pages};
 }
 
 Message MakeMigrate(uint64_t request_id, uint64_t slot) {
-  Message m;
-  m.type = MessageType::kMigrate;
-  m.request_id = request_id;
-  m.slot = slot;
-  return m;
+  return {.type = MessageType::kMigrate, .request_id = request_id, .slot = slot};
 }
 
 Message MakeMigrateReply(uint64_t request_id, uint64_t slot, std::span<const uint8_t> data,
                          ErrorCode status) {
-  Message m;
-  m.type = MessageType::kMigrateReply;
-  m.request_id = request_id;
-  m.slot = slot;
-  m.status = static_cast<uint32_t>(status);
-  m.payload.assign(data.begin(), data.end());
-  return m;
+  return {.type = MessageType::kMigrateReply, .request_id = request_id, .slot = slot,
+          .status = Code(status), .payload = {data.begin(), data.end()}};
 }
 
-namespace {
-
-Message MakeIntrospectionReply(MessageType type, uint64_t request_id, uint64_t incarnation,
-                               std::string_view json) {
-  Message m;
-  m.type = type;
-  m.request_id = request_id;
-  m.slot = incarnation;
-  m.count = json.size();
-  m.payload.assign(json.begin(), json.end());
-  return m;
-}
-
-}  // namespace
-
+// The introspection replies carry the server's incarnation in `slot` and the
+// JSON document as the payload, its length in `count`.
 Message MakeStatsQuery(uint64_t request_id) {
-  Message m;
-  m.type = MessageType::kStatsQuery;
-  m.request_id = request_id;
-  return m;
+  return {.type = MessageType::kStatsQuery, .request_id = request_id};
 }
 
 Message MakeStatsReply(uint64_t request_id, uint64_t incarnation, std::string_view json) {
-  return MakeIntrospectionReply(MessageType::kStatsReply, request_id, incarnation, json);
+  return {.type = MessageType::kStatsReply, .request_id = request_id, .slot = incarnation,
+          .count = json.size(), .payload = {json.begin(), json.end()}};
 }
 
 Message MakeTraceDump(uint64_t request_id, uint64_t document) {
-  Message m;
-  m.type = MessageType::kTraceDump;
-  m.request_id = request_id;
-  m.slot = document;
-  return m;
+  return {.type = MessageType::kTraceDump, .request_id = request_id, .slot = document};
 }
 
 Message MakeTraceDumpReply(uint64_t request_id, uint64_t incarnation, std::string_view json) {
-  return MakeIntrospectionReply(MessageType::kTraceDumpReply, request_id, incarnation, json);
+  return {.type = MessageType::kTraceDumpReply, .request_id = request_id, .slot = incarnation,
+          .count = json.size(), .payload = {json.begin(), json.end()}};
 }
 
 Message MakeEventsQuery(uint64_t request_id, uint64_t min_seq) {
-  Message m;
-  m.type = MessageType::kEventsQuery;
-  m.request_id = request_id;
-  m.slot = min_seq;
-  return m;
+  return {.type = MessageType::kEventsQuery, .request_id = request_id, .slot = min_seq};
 }
 
 Message MakeEventsReply(uint64_t request_id, uint64_t incarnation, uint64_t next_seq,
                         std::string_view json) {
-  Message m = MakeIntrospectionReply(MessageType::kEventsReply, request_id, incarnation, json);
-  m.count = next_seq;
-  return m;
-}
-
-void StampTraceId(Message* request, uint32_t trace_id) {
-  if (trace_id == 0) {
-    request->flags &= static_cast<uint8_t>(~kFlagTraced);
-    request->status = 0;
-    return;
-  }
-  request->flags |= kFlagTraced;
-  request->status = trace_id;
+  return {.type = MessageType::kEventsReply, .request_id = request_id, .slot = incarnation,
+          .count = next_seq, .payload = {json.begin(), json.end()}};
 }
 
 Message MakeMapQuery(uint64_t request_id) {
-  Message m;
-  m.type = MessageType::kMapQuery;
-  m.request_id = request_id;
-  return m;
+  return {.type = MessageType::kMapQuery, .request_id = request_id};
 }
 
 Message MakeMapReply(uint64_t request_id, uint64_t epoch, std::span<const uint8_t> map_bytes,
                      ErrorCode status) {
-  Message m;
-  m.type = MessageType::kMapReply;
-  m.request_id = request_id;
-  m.slot = epoch;
-  m.count = map_bytes.size();
-  m.status = static_cast<uint32_t>(status);
-  m.payload.assign(map_bytes.begin(), map_bytes.end());
-  return m;
+  return {.type = MessageType::kMapReply, .request_id = request_id, .count = map_bytes.size(),
+          .epoch = epoch, .status = Code(status),
+          .payload = {map_bytes.begin(), map_bytes.end()}};
 }
 
 Message MakeMapPublish(uint64_t request_id, uint64_t epoch, std::span<const uint8_t> map_bytes) {
-  Message m;
-  m.type = MessageType::kMapPublish;
-  m.request_id = request_id;
-  m.slot = epoch;
-  m.count = map_bytes.size();
-  m.payload.assign(map_bytes.begin(), map_bytes.end());
-  return m;
+  return {.type = MessageType::kMapPublish, .request_id = request_id, .count = map_bytes.size(),
+          .epoch = epoch, .payload = {map_bytes.begin(), map_bytes.end()}};
 }
 
 Message MakeMapPublishAck(uint64_t request_id, uint64_t epoch, ErrorCode status) {
-  Message m;
-  m.type = MessageType::kMapPublishAck;
-  m.request_id = request_id;
-  m.slot = epoch;
-  m.status = static_cast<uint32_t>(status);
-  return m;
+  return {.type = MessageType::kMapPublishAck, .request_id = request_id, .epoch = epoch,
+          .status = Code(status)};
 }
 
 std::string_view IntrospectionJson(const Message& message) {
   return std::string_view(reinterpret_cast<const char*>(message.payload.data()),
-                         message.payload.size());
+                          message.payload.size());
 }
 
 Message MakeShutdown(uint64_t request_id) {
-  Message m;
-  m.type = MessageType::kShutdown;
-  m.request_id = request_id;
-  return m;
+  return {.type = MessageType::kShutdown, .request_id = request_id};
 }
 
 Message MakeErrorReply(uint64_t request_id, ErrorCode status) {
-  Message m;
-  m.type = MessageType::kErrorReply;
-  m.request_id = request_id;
-  m.status = static_cast<uint32_t>(status);
-  return m;
+  return {.type = MessageType::kErrorReply, .request_id = request_id, .status = Code(status)};
 }
 
 Message MakeAuth(uint64_t request_id, std::string_view token, uint16_t tenant) {
-  Message m;
-  m.type = MessageType::kAuth;
-  m.tenant = tenant;
-  m.request_id = request_id;
-  m.payload.assign(token.begin(), token.end());
-  return m;
+  return {.type = MessageType::kAuth, .tenant = tenant, .request_id = request_id,
+          .payload = {token.begin(), token.end()}};
 }
 
 Message MakeAuthReply(uint64_t request_id, ErrorCode status) {
-  Message m;
-  m.type = MessageType::kAuthReply;
-  m.request_id = request_id;
-  m.status = static_cast<uint32_t>(status);
-  return m;
+  return {.type = MessageType::kAuthReply, .request_id = request_id, .status = Code(status)};
 }
 
 Message MakePageOutBatch(uint64_t request_id, std::span<const uint64_t> slots,
@@ -549,15 +367,8 @@ Message MakePageOutBatch(uint64_t request_id, std::span<const uint64_t> slots,
 
 Message MakePageOutBatchAck(uint64_t request_id, uint64_t stored, ErrorCode status,
                             bool advise_stop) {
-  Message m;
-  m.type = MessageType::kPageOutBatchAck;
-  m.request_id = request_id;
-  m.count = stored;
-  m.status = static_cast<uint32_t>(status);
-  if (advise_stop) {
-    m.flags |= kFlagAdviseStop;
-  }
-  return m;
+  return {.type = MessageType::kPageOutBatchAck, .flags = AdviseStop(advise_stop),
+          .request_id = request_id, .count = stored, .status = Code(status)};
 }
 
 Message MakePageInBatch(uint64_t request_id, std::span<const uint64_t> slots) {
@@ -577,14 +388,12 @@ Message MakePageInBatch(uint64_t request_id, std::span<const uint64_t> slots) {
 Message MakePageInBatchReply(uint64_t request_id, std::span<const uint8_t> pages,
                              ErrorCode status) {
   assert(pages.size() % kPageSize == 0);
-  Message m;
-  m.type = MessageType::kPageInBatchReply;
-  m.request_id = request_id;
-  m.count = pages.size() / kPageSize;
-  m.status = static_cast<uint32_t>(status);
-  m.payload.assign(pages.begin(), pages.end());
-  return m;
+  return {.type = MessageType::kPageInBatchReply, .request_id = request_id,
+          .count = pages.size() / kPageSize, .status = Code(status),
+          .payload = {pages.begin(), pages.end()}};
 }
+
+#pragma GCC diagnostic pop
 
 Result<size_t> ValidateBatch(const Message& message) {
   const size_t count = message.count;

@@ -4,33 +4,39 @@
 // (§3.1-3.2): swap-space allocation and release, pageout, pagein, and
 // periodic memory-load reports that let the client notice an overloaded
 // server and migrate pages away. This module defines those messages and a
-// compact little-endian binary encoding with CRC-guarded payloads.
+// compact little-endian binary encoding in which every byte is checksummed.
 //
-// Layout (all integers little-endian):
-//   magic      u32   'RMP1'
-//   type       u8
-//   flags      u8    (bit 0: ADVISE_STOP piggyback)
-//   tenant_id  u16   0 = legacy/untenanted (the field was reserved-zero
-//                    before DESIGN.md §15, so old frames decode unchanged)
-//   request_id u64   client-chosen; echoed in the reply
-//   slot       u64   server swap slot (pageout/pagein)
-//   count      u64   page count (alloc/free) or free-pages (load report)
-//   aux        u64   total pages (load report) / error detail
-//   status     u32   rmp::ErrorCode of a reply. On a *request* the field was
-//                    reserved-zero; a request with the TRACED flag set
-//                    repurposes it as the trace id (DESIGN.md §17), the same
-//                    precedent tenant_id set for the reserved u16. Requests
-//                    without the flag leave it zero, so legacy frames decode
-//                    unchanged.
-//   payload_crc u32  CRC-32C of payload (0 when empty; header not covered)
-//   payload_len u32
-//   payload    payload_len bytes
+// Frame layout (all integers little-endian): a 68-byte prefix, then the payload.
+//   offset  field        type
+//        0  magic        u32   'RMP2'
+//        4  type         u8
+//        5  flags        u8    bit 0: ADVISE_STOP piggyback (§2.1)
+//        6  tenant       u16   tenant id, 0 = untenanted (DESIGN.md §15)
+//        8  request_id   u64   client-chosen; echoed in the reply
+//       16  slot         u64   server swap slot (pageout/pagein)
+//       24  count        u64   page count (alloc/free) or free pages (load report)
+//       32  aux          u64   replies: total pages (load report, heartbeat ack)
+//                              or the index of a batch's failing entry
+//       40  epoch        u64   cluster-map epoch (DESIGN.md §16): on data
+//                              requests the epoch the client routed by (0 = no
+//                              map adopted), on STALE_EPOCH replies and map
+//                              ops the epoch in force
+//       48  status       u32   rmp::ErrorCode of a reply
+//       52  trace_id     u32   trace id of a request, 0 = untraced (DESIGN.md §17)
+//       56  payload_crc  u32   CRC-32C of the payload (0 when empty)
+//       60  payload_len  u32
+//       64  header_crc   u32   CRC-32C of bytes 0..63
+//       68  payload      payload_len bytes
+//
+// A receiver checks the prefix before it reads or buffers any payload
+// (DecodeHeader), then the payload against payload_crc (DecodePayload). A
+// single flipped bit anywhere in a frame is rejected: the magic as a PROTOCOL
+// error, everything after it as CORRUPTION.
 
 #ifndef SRC_PROTO_WIRE_H_
 #define SRC_PROTO_WIRE_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,12 +113,12 @@ enum class MessageType : uint8_t {
   // serialized payload (see src/proto/cluster_map.h for the layout, bounds,
   // and the fail-closed decoder). MAP_QUERY pulls a server's current map;
   // MAP_PUBLISH installs a newer one (servers accept only epoch >= their
-  // own). Both replies carry the epoch in `slot` so a stale client can
+  // own). Both replies carry the epoch in `epoch` so a stale client can
   // learn how far behind it is without parsing the payload.
   kMapQuery = 30,
-  kMapReply = 31,       // slot = epoch, count = payload size, payload = map.
-  kMapPublish = 32,     // slot = epoch, payload = serialized map.
-  kMapPublishAck = 33,  // slot = epoch now in force at the server.
+  kMapReply = 31,       // epoch, count = payload size, payload = map.
+  kMapPublish = 32,     // epoch, payload = serialized map.
+  kMapPublishAck = 33,  // epoch = the epoch now in force at the server.
   // Flight recorder (DESIGN.md §17): EVENTS_QUERY pulls the server's
   // structured event journal — health transitions, epoch adoptions,
   // STALE_EPOCH refusals, tenant sheds — as a JSON array. The request `slot`
@@ -127,41 +133,34 @@ std::string_view MessageTypeName(MessageType type);
 
 // Flag bits.
 inline constexpr uint8_t kFlagAdviseStop = 0x1;  // "send no more pages here" (§2.1).
-// Request carries a trace id in its `status` field (DESIGN.md §17). Only
-// ever set on requests; replies keep `status` as the error code.
-inline constexpr uint8_t kFlagTraced = 0x2;
 
+// One frame; the fields are the header's (see the layout above).
 struct Message {
   MessageType type = MessageType::kErrorReply;
   uint8_t flags = 0;
-  // Tenant identity carried by every frame (DESIGN.md §15). 0 is the legacy
-  // untenanted id: it encodes to the bytes the old reserved field held, so a
-  // tenant-unaware peer is wire-compatible. Nonzero ids are bound to a
-  // session at AUTH time and validated against server quotas.
+  // Nonzero ids are bound to a session at AUTH time and validated against
+  // server quotas (DESIGN.md §15).
   uint16_t tenant = 0;
   uint64_t request_id = 0;
   uint64_t slot = 0;
   uint64_t count = 0;
   uint64_t aux = 0;
+  uint64_t epoch = 0;
   uint32_t status = 0;  // static_cast<uint32_t>(ErrorCode).
+  uint32_t trace_id = 0;
   std::vector<uint8_t> payload;
 
   bool advise_stop() const { return (flags & kFlagAdviseStop) != 0; }
   ErrorCode status_code() const { return static_cast<ErrorCode>(status); }
-  // Trace id of a request frame; 0 = untraced (legacy frames and sampled-out
-  // requests). Meaningless on replies.
-  uint32_t trace_id() const { return (flags & kFlagTraced) != 0 ? status : 0; }
 
-  bool operator==(const Message& other) const;
+  bool operator==(const Message& other) const = default;
 };
 
-// Size of the fixed header in bytes.
-inline constexpr size_t kWireHeaderSize = 48;
-// The full fixed-size frame prefix: header plus the payload_len field. A
-// receiver that reads exactly this many bytes knows the exact payload size
-// and can recv the payload directly into its destination buffer.
-inline constexpr size_t kWirePrefixSize = kWireHeaderSize + 4;
-inline constexpr uint32_t kWireMagic = 0x31504d52;  // "RMP1".
+// The fixed-size frame prefix. A receiver that reads exactly this many
+// bytes knows the exact payload size and can recv the payload directly into
+// its destination buffer.
+inline constexpr size_t kWirePrefixSize = 68;
+inline constexpr uint32_t kWireMagic = 0x32504d52;  // "RMP2".
 // Most (slot, page) pairs one batch frame may carry — one alloc extent's
 // worth of 8 KB pages (see RemotePagerParams::alloc_extent_pages).
 inline constexpr uint32_t kMaxBatchPages = 256;
@@ -172,35 +171,37 @@ inline constexpr uint32_t kMaxWirePayload = 4u << 20;
 // Largest tenant id accepted from the wire. The field is a u16, but per-tenant
 // state (quota buckets, scheduler queues, metric series) is allocated per
 // observed id, so a hostile frame must not be able to demand 65k series; the
-// decoder rejects ids above this bound outright. 0 stays the legacy id.
+// decoder rejects ids above this bound outright.
 inline constexpr uint16_t kMaxTenantId = 1024;
 
-// The decoded fixed-size frame prefix. Splitting the prefix from the payload
-// lets the transport frame messages without coalescing header and payload
-// into one temporary buffer (writev on send, two exact reads on receive).
+// A checked frame prefix: the message it starts (payload still empty) and
+// what its payload must be. Splitting the prefix from the payload lets the
+// transport frame messages without coalescing header and payload into one
+// temporary buffer (writev on send, two exact reads on receive).
 struct WireHeader {
-  MessageType type = MessageType::kErrorReply;
-  uint8_t flags = 0;
-  uint16_t tenant = 0;
-  uint64_t request_id = 0;
-  uint64_t slot = 0;
-  uint64_t count = 0;
-  uint64_t aux = 0;
-  uint32_t status = 0;
+  Message message;
   uint32_t payload_crc = 0;
   uint32_t payload_len = 0;
 };
 
 // Writes the frame prefix for `message` (whose payload CRC is `payload_crc`)
-// into `out`, which must hold kWirePrefixSize bytes.
+// into `out`, which must hold kWirePrefixSize bytes, header CRC included.
 void EncodeHeader(const Message& message, uint32_t payload_crc, uint8_t* out);
 
-// Parses and validates a frame prefix (magic, type, tenant bound, payload
-// bound). `prefix` must hold at least kWirePrefixSize bytes.
+// Recomputes the header CRC of the kWirePrefixSize bytes at `prefix`.
+void SealHeader(uint8_t* prefix);
+
+// The one header check, run on every frame before any of its payload is
+// read or buffered: magic (PROTOCOL), header CRC (CORRUPTION), type, tenant
+// bound and payload bound (PROTOCOL). Only the first kWirePrefixSize bytes
+// of `prefix` are read. A shorter `prefix` is NOT_FOUND (more bytes needed)
+// unless its first four already fail the magic, so a desynchronized stream
+// fails without waiting for a prefix that may never come.
 Result<WireHeader> DecodeHeader(std::span<const uint8_t> prefix);
 
-// Expands header fields into a Message with an empty payload.
-Message MessageFromHeader(const WireHeader& header);
+// The one payload check: `payload` (header.payload_len bytes) against the
+// header's CRC. Returns the whole message, or CORRUPTION.
+Result<Message> DecodePayload(WireHeader header, std::vector<uint8_t> payload);
 
 // The CRC as computed for the wire: CRC-32C of the payload, 0 when empty.
 uint32_t PayloadCrc(std::span<const uint8_t> payload);
@@ -213,7 +214,7 @@ std::vector<uint8_t> Encode(const Message& message);
 void EncodeTo(const Message& message, std::vector<uint8_t>* out);
 
 // Decodes one complete message from `bytes` (which must contain exactly one
-// message). Verifies magic and payload CRC.
+// message) through DecodeHeader and DecodePayload.
 Result<Message> Decode(std::span<const uint8_t> bytes);
 
 // Incremental decoder for a TCP byte stream: feed arbitrary chunks, pop
@@ -250,7 +251,7 @@ Message MakeLoadReport(uint64_t request_id, uint64_t free_pages, uint64_t total_
 Message MakeShutdown(uint64_t request_id);
 Message MakeErrorReply(uint64_t request_id, ErrorCode status);
 // `tenant` binds the session to a tenant id server-side (DESIGN.md §15);
-// 0 preserves the legacy untenanted handshake byte-for-byte.
+// 0 leaves the session untenanted.
 Message MakeAuth(uint64_t request_id, std::string_view token, uint16_t tenant = 0);
 Message MakeAuthReply(uint64_t request_id, ErrorCode status);
 Message MakeHeartbeat(uint64_t request_id);
@@ -270,9 +271,6 @@ Message MakeEventsQuery(uint64_t request_id, uint64_t min_seq = 0);
 Message MakeEventsReply(uint64_t request_id, uint64_t incarnation, uint64_t next_seq,
                         std::string_view json);
 
-// Stamps `trace_id` onto a request frame (sets kFlagTraced and the status
-// field); 0 clears both. Never call on replies.
-void StampTraceId(Message* request, uint32_t trace_id);
 // Cluster-map distribution (DESIGN.md §16). `map_bytes` is a serialized
 // ClusterMap (src/proto/cluster_map.h); `epoch` duplicates the map's epoch in
 // the header so receivers can order frames without decoding the payload.

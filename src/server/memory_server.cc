@@ -86,7 +86,7 @@ Message RateLimitedReply(const Message& request) {
 }
 
 // A stale-epoch denial travels back in the reply shape the op expects, with
-// the server's current epoch in `aux` so the client learns the new epoch
+// the server's current epoch so the client learns the new epoch
 // before it even re-queries the map (DESIGN.md §16). Never ADVISE_STOP: the
 // client is not overloading anyone, it is just behind.
 Message EpochStaleReply(const Message& request, uint64_t epoch) {
@@ -127,7 +127,7 @@ Message EpochStaleReply(const Message& request, uint64_t epoch) {
       reply = MakeErrorReply(request.request_id, ErrorCode::kStaleEpoch);
       break;
   }
-  reply.aux = epoch;
+  reply.epoch = epoch;
   return reply;
 }
 
@@ -1353,10 +1353,9 @@ Message MemoryServer::Handle(const Message& request) {
     inline_service.declined = true;
     return Message();
   }
-  // Trace shim (DESIGN.md §17). Requests without a wire trace id — legacy
-  // frames, sampled-out operations, tracing off — pay exactly one flag test
-  // and fall through to the pre-§17 path.
-  const uint32_t trace_id = request.trace_id();
+  // Trace shim (DESIGN.md §17). Requests without a trace id — sampled-out
+  // operations, tracing off — pay exactly one test and skip the timing.
+  const uint32_t trace_id = request.trace_id;
   if (trace_id == 0) {
     return HandleAdmitted(request);
   }
@@ -1427,18 +1426,17 @@ Message MemoryServer::HandleInternal(const Message& request) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_micros));
     }
   }
-  // Epoch gate (DESIGN.md §16): a data op stamped (aux != 0) with an epoch
-  // strictly older than the map in force here was routed by a placement the
-  // cluster has since abandoned — deny it before it can land a page on the
-  // wrong owner. Unstamped requests (aux == 0, legacy clients) pass: the gate
-  // only bites clients that opted into the map protocol.
+  // Epoch gate (DESIGN.md §16): a data op stamped with an epoch strictly
+  // older than the map in force here was routed by a placement the cluster
+  // has since abandoned — deny it before it can land a page on the wrong
+  // owner. Epoch 0 (a client that adopted no map) passes: the gate only
+  // bites clients that opted into the map protocol.
   const uint64_t epoch_now = map_epoch_.load(std::memory_order_acquire);
-  if (epoch_now != 0 && request.aux != 0 && request.aux < epoch_now &&
-      EpochGated(request.type)) {
+  if (request.epoch != 0 && request.epoch < epoch_now && EpochGated(request.type)) {
     stats_.stale_epoch_rejections.fetch_add(1, std::memory_order_relaxed);
     events_.Append(EventKind::kStaleEpoch, params_.name,
                    "op=" + std::string(MessageTypeName(request.type)) + " stamped=" +
-                       std::to_string(request.aux) + " current=" + std::to_string(epoch_now));
+                       std::to_string(request.epoch) + " current=" + std::to_string(epoch_now));
     return EpochStaleReply(request, epoch_now);
   }
   switch (request.type) {
@@ -1626,7 +1624,7 @@ Message MemoryServer::HandleInternal(const Message& request) {
       if (!map.ok()) {
         return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
       }
-      if (request.slot != map->epoch()) {
+      if (request.epoch != map->epoch()) {
         // The header epoch exists so receivers can order frames without
         // decoding; a frame whose two epochs disagree is lying somewhere.
         return MakeErrorReply(request.request_id, ErrorCode::kProtocol);

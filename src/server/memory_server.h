@@ -314,7 +314,7 @@ class MemoryServer : public MessageHandler {
 
   // --- Elastic membership (DESIGN.md §16) ---------------------------------
   // The cluster-map epoch currently in force; 0 = no map adopted. Data ops
-  // stamped with an older epoch (request.aux) are denied with STALE_EPOCH so
+  // stamped with an older epoch (Message::epoch) are denied with STALE_EPOCH so
   // a stale client refreshes before it writes to the wrong owner.
   uint64_t map_epoch() const { return map_epoch_.load(std::memory_order_acquire); }
   // The serialized map last accepted over MAP_PUBLISH (empty when none).

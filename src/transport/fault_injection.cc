@@ -6,6 +6,22 @@
 #include "src/proto/wire.h"
 
 namespace rmp {
+namespace {
+
+// Runs `message` through the real wire encoding with frame bit `bit` flipped
+// and decodes it, so the actual header and payload checks decide the outcome
+// rather than a simulation of them.
+Result<Message> DecodeWithFlippedBit(const Message& message, size_t bit, const std::string& tag) {
+  std::vector<uint8_t> bytes = Encode(message);
+  bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  Result<Message> decoded = Decode(bytes);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  return CorruptionError("fault: corrupted frame escaped the CRC (" + tag + ")");
+}
+
+}  // namespace
 
 std::string_view FaultKindName(FaultKind kind) {
   switch (kind) {
@@ -27,6 +43,10 @@ std::string_view FaultKindName(FaultKind kind) {
       return "CRASH_BEFORE_APPLY";
     case FaultKind::kCrashAfterApply:
       return "CRASH_AFTER_APPLY";
+    case FaultKind::kCorruptRequestHeader:
+      return "CORRUPT_REQUEST_HEADER";
+    case FaultKind::kCorruptReplyHeader:
+      return "CORRUPT_REPLY_HEADER";
   }
   return "UNKNOWN";
 }
@@ -84,10 +104,17 @@ FaultKind FaultPlan::Decide(const Message& request, TimeNs now, FaultRule* fired
                                 std::string(MessageTypeName(request.type)) + " at op #" +
                                 std::to_string(ops_seen_));
   }
-  if (fired != nullptr) {
-    *fired = winner->rule;
+  FaultRule chosen = winner->rule;
+  const bool header_fault = chosen.kind == FaultKind::kCorruptRequestHeader ||
+                            chosen.kind == FaultKind::kCorruptReplyHeader;
+  if (header_fault) {
+    // Past the magic: a flipped magic is a PROTOCOL error, not corruption.
+    chosen.corrupt_bit = static_cast<int>(32 + rng_.Below(kWirePrefixSize * 8 - 32));
   }
-  return winner->rule.kind;
+  if (fired != nullptr) {
+    *fired = chosen;
+  }
+  return chosen.kind;
 }
 
 int64_t FaultPlan::ops_seen() const {
@@ -238,21 +265,24 @@ Result<Message> FaultInjectingTransport::FaultedCall(const Message& request, Fau
     }
 
     case FaultKind::kCorruptPayload: {
-      // Run the request through the real wire encoding, flip one byte, and
-      // decode — exercising the actual CRC (payload) / magic (header) checks
-      // rather than simulating their outcome. The op never reaches the
-      // server.
-      std::vector<uint8_t> bytes = Encode(request);
-      if (request.payload.empty()) {
-        bytes[0] ^= 0x40;  // Header corruption: DecodeHeader rejects magic.
-      } else {
-        bytes[bytes.size() - 1] ^= 0x40;  // Payload corruption: CRC mismatch.
+      // The last payload byte flips (a payload CRC mismatch); with no
+      // payload, a magic byte does (a PROTOCOL error). The op never reaches
+      // the server.
+      const size_t byte =
+          request.payload.empty() ? 0 : kWirePrefixSize + request.payload.size() - 1;
+      return DecodeWithFlippedBit(request, byte * 8 + 6, tag);
+    }
+
+    case FaultKind::kCorruptRequestHeader:
+      // The server's header check drops the frame: the op never applies.
+      return DecodeWithFlippedBit(request, static_cast<size_t>(rule.corrupt_bit), tag);
+
+    case FaultKind::kCorruptReplyHeader: {
+      Result<Message> reply = inner_->Call(request);
+      if (!reply.ok()) {
+        return reply;
       }
-      Result<Message> decoded = Decode(bytes);
-      if (!decoded.ok()) {
-        return decoded.status();
-      }
-      return CorruptionError("fault: corrupted frame escaped the CRC (" + tag + ")");
+      return DecodeWithFlippedBit(*reply, static_cast<size_t>(rule.corrupt_bit), tag);
     }
 
     case FaultKind::kDisconnect:

@@ -16,8 +16,9 @@
 //   FaultInjectingTransport — a Transport decorator that consults the plan
 //                             on every RPC and perturbs delivery: drop the
 //                             request, drop the reply, delay it past a
-//                             deadline, deliver it twice, flip payload bits
-//                             (caught by the wire CRC), sever the
+//                             deadline, deliver it twice, flip a payload
+//                             bit or a request or reply header bit (caught
+//                             by the wire CRCs), sever the
 //                             connection, or crash the server before/after
 //                             the request applies (via a crash hook the
 //                             Testbed wires to CrashServer).
@@ -63,7 +64,14 @@ enum class FaultKind : uint8_t {
   kCrashBeforeApply,  // Server workstation dies before applying the request.
   kCrashAfterApply,   // Server applies the request, then dies; the reply is
                       // lost with it.
+  kCorruptRequestHeader,  // One bit of the request's frame prefix flips in
+                          // flight; the header CRC must catch it and the op
+                          // must not apply.
+  kCorruptReplyHeader,    // The op applies, then one bit of the reply's frame
+                          // prefix flips; the caller sees CORRUPTION and must
+                          // retry idempotently.
 };
+inline constexpr size_t kFaultKindCount = static_cast<size_t>(FaultKind::kCorruptReplyHeader) + 1;
 
 std::string_view FaultKindName(FaultKind kind);
 
@@ -90,11 +98,16 @@ struct FaultRule {
 
   // Injected latency for kDelay.
   DurationNs delay = 0;
+
+  // Set by Decide in the copy of a firing header corruption it hands back:
+  // the frame-prefix bit to flip (bit i % 8 of byte i / 8), drawn past the
+  // magic from the plan's seeded RNG.
+  int corrupt_bit = -1;
 };
 
 // Counts of injected faults, by kind (index = FaultKind value).
 struct FaultStats {
-  int64_t injected[9] = {};
+  int64_t injected[kFaultKindCount] = {};
   int64_t total() const {
     int64_t n = 0;
     for (int64_t k : injected) {
@@ -116,8 +129,9 @@ class FaultPlan {
 
   // Decision for the next operation `request` issued at simulated time
   // `now`. The first firing rule wins; *fired (when non-null) receives a
-  // copy of it (for kDelay's duration). Advances the op counter and — for
-  // probability rules — the RNG, so calls must be made once per op.
+  // copy of it (for kDelay's duration and a header corruption's bit).
+  // Advances the op counter and — for probability rules and header
+  // corruptions — the RNG, so calls must be made once per op.
   FaultKind Decide(const Message& request, TimeNs now, FaultRule* fired);
 
   uint64_t seed() const { return seed_; }

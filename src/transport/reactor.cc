@@ -420,9 +420,8 @@ Status ReactorConnection::ReadOnLoop(FrameSink& sink) {
 
 Status ReactorConnection::Dispatch(FrameSink& sink, std::span<const uint8_t> chunk,
                                    bool read_full, const bool& stop) {
-  // Resume a partial frame through the buffering FrameReader first; its
-  // hostile-length check (payload_len bound before any buffering) is the
-  // wire-safety gate for the slow path.
+  // Resume a partial frame through the buffering FrameReader first. Both
+  // paths check each frame with DecodeHeader and DecodePayload.
   if (reader_.buffered_bytes() > 0) {
     reader_.Feed(chunk);
     chunk = {};
@@ -443,10 +442,9 @@ Status ReactorConnection::Dispatch(FrameSink& sink, std::span<const uint8_t> chu
   }
   // Fast path: decode complete frames straight out of the scratch buffer,
   // skipping the FrameReader copy; only a trailing partial frame is
-  // buffered. DecodeHeader performs the same magic / reserved field /
-  // payload-bound validation the FrameReader path applies.
+  // buffered.
   while (chunk.size() >= kWirePrefixSize) {
-    auto header = DecodeHeader(chunk.subspan(0, kWirePrefixSize));
+    auto header = DecodeHeader(chunk);
     if (!header.ok()) {
       return header.status();
     }
@@ -454,21 +452,27 @@ Status ReactorConnection::Dispatch(FrameSink& sink, std::span<const uint8_t> chu
     if (chunk.size() < total) {
       break;
     }
-    Message frame = MessageFromHeader(*header);
-    if (header->payload_len > 0) {
-      frame.payload.assign(chunk.data() + kWirePrefixSize, chunk.data() + total);
-    }
-    if (PayloadCrc(std::span<const uint8_t>(frame.payload)) != header->payload_crc) {
-      return CorruptionError("payload CRC mismatch");
+    auto frame = DecodePayload(std::move(*header), {chunk.begin() + kWirePrefixSize,
+                                                    chunk.begin() + static_cast<ptrdiff_t>(total)});
+    if (!frame.ok()) {
+      return frame.status();
     }
     Metrics().frames_received.Increment();
-    sink.OnFrame(std::move(frame), read_full || chunk.size() > total);
+    sink.OnFrame(std::move(*frame), read_full || chunk.size() > total);
     if (stop) {
       return OkStatus();
     }
     chunk = chunk.subspan(total);
   }
   if (!chunk.empty()) {
+    // A partial frame. If the loop above has not checked its prefix, check
+    // what has arrived of it now, not on the next read, which a
+    // desynchronized peer may never send.
+    if (chunk.size() < kWirePrefixSize) {
+      if (auto header = DecodeHeader(chunk); header.status().code() != ErrorCode::kNotFound) {
+        return header.status();
+      }
+    }
     reader_.Feed(chunk);
   }
   return OkStatus();

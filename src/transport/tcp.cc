@@ -70,7 +70,7 @@ Status RecvExact(int fd, uint8_t* buf, size_t len) {
 
 Status SendFrame(int fd, const Message& message) {
   uint8_t prefix[kWirePrefixSize];
-  EncodeHeader(message, PayloadCrc(std::span<const uint8_t>(message.payload)), prefix);
+  EncodeHeader(message, PayloadCrc(message.payload), prefix);
   iovec iov[2];
   iov[0].iov_base = prefix;
   iov[0].iov_len = kWirePrefixSize;
@@ -112,18 +112,14 @@ Result<Message> ReadFrame(int fd) {
   if (!header.ok()) {
     return header.status();
   }
-  Message message = MessageFromHeader(*header);
-  if (header->payload_len > 0) {
-    message.payload.resize(header->payload_len);
-    status = RecvExact(fd, message.payload.data(), message.payload.size());
+  std::vector<uint8_t> payload(header->payload_len);
+  if (!payload.empty()) {
+    status = RecvExact(fd, payload.data(), payload.size());
     if (!status.ok()) {
       return status;
     }
   }
-  if (PayloadCrc(std::span<const uint8_t>(message.payload)) != header->payload_crc) {
-    return CorruptionError("payload CRC mismatch");
-  }
-  return message;
+  return DecodePayload(std::move(*header), std::move(payload));
 }
 
 // --- TcpTransport -----------------------------------------------------------
@@ -552,7 +548,7 @@ void TcpServer::WorkerLoop() {
   while (have) {
     auto session = std::static_pointer_cast<ServerSession>(item.owner);
     if (session != nullptr) {
-      if (item.request.trace_id() != 0) {
+      if (item.request.trace_id != 0) {
         // Traced request (DESIGN.md §17): hand the handler its scheduler
         // queue + lane wait so the server can record a srv_queue span.
         // Untraced requests skip even the clock read.

@@ -220,23 +220,23 @@ TEST(ClusterMembershipTest, EpochGateRejectsOnlyOlderStampedOps) {
   ASSERT_EQ(bed->server(0).map_epoch(), 3u);
 
   Message request = MakeAllocRequest(/*request_id=*/900, /*pages=*/1);
-  request.aux = 2;  // Older than the server's epoch.
+  request.epoch = 2;  // Older than the server's epoch.
   auto reply = bed->transport(0).Call(request);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->status, static_cast<uint32_t>(ErrorCode::kStaleEpoch));
-  EXPECT_EQ(reply->aux, 3u);  // The denial teaches the current epoch.
+  EXPECT_EQ(reply->epoch, 3u);  // The denial teaches the current epoch.
 
-  request.aux = 3;  // Current epoch: accepted.
+  request.epoch = 3;  // Current epoch: accepted.
   reply = bed->transport(0).Call(request);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->status, static_cast<uint32_t>(ErrorCode::kOk));
 
-  request.aux = 9;  // Newer than the server (it is the stale one): accepted.
+  request.epoch = 9;  // Newer than the server (it is the stale one): accepted.
   reply = bed->transport(0).Call(request);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->status, static_cast<uint32_t>(ErrorCode::kOk));
 
-  request.aux = 0;  // Legacy/unstamped: always accepted.
+  request.epoch = 0;  // Unstamped: always accepted.
   reply = bed->transport(0).Call(request);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->status, static_cast<uint32_t>(ErrorCode::kOk));

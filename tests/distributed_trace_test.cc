@@ -3,7 +3,7 @@
 // The tentpole claims under test: a sampled-in operation's wire trace id
 // reaches every server its retries touch (failover included), the measured
 // server-side spans those requests record stitch back into the client's
-// trace record and stage histograms, legacy/unstamped frames cost the server
+// trace record and stage histograms, untraced frames cost the server
 // nothing, head sampling is deterministic, and a span-ring overrun degrades
 // to counted drops — never a crash.
 
@@ -33,15 +33,15 @@ Result<std::unique_ptr<Testbed>> MakeTestbed(Policy policy, int data_servers,
 // --- Wire stamping ----------------------------------------------------------
 
 TEST(DistributedTraceTest, LegacyUnstampedFramesRecordNoServerSpans) {
-  // A frame without kFlagTraced is the pre-§17 wire format; the server must
-  // take the one-flag-test fast path and leave its span ring untouched.
+  // A frame with trace id 0 is untraced; the server must take the one-test
+  // fast path and leave its span ring untouched.
   MemoryServer server;
   const Message alloc = server.Handle(MakeAllocRequest(1, 1));
   ASSERT_EQ(alloc.status_code(), ErrorCode::kOk);
   PageBuffer page;
   FillPattern(page.span(), 5);
   Message out = MakePageOut(2, alloc.slot, page.span());
-  ASSERT_EQ(out.trace_id(), 0u);
+  ASSERT_EQ(out.trace_id, 0u);
   EXPECT_EQ(server.Handle(out).status_code(), ErrorCode::kOk);
   EXPECT_EQ(server.Handle(MakePageIn(3, alloc.slot)).status_code(), ErrorCode::kOk);
   EXPECT_EQ(server.span_ring().size(), 0u);
@@ -52,16 +52,17 @@ TEST(DistributedTraceTest, StampedFrameRoundTripsAndClears) {
   PageBuffer page;
   FillPattern(page.span(), 6);
   Message out = MakePageOut(1, 3, page.span());
-  StampTraceId(&out, 0xdeadbeef);
-  EXPECT_EQ(out.trace_id(), 0xdeadbeefu);
+  out.trace_id = 0xdeadbeef;
+  EXPECT_EQ(out.trace_id, 0xdeadbeefu);
   // The id survives the wire byte-exact.
   auto decoded = Decode(Encode(out));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->trace_id(), 0xdeadbeefu);
-  // Stamping 0 restores the legacy frame: flag and status byte both clear.
-  StampTraceId(&out, 0);
-  EXPECT_EQ(out.trace_id(), 0u);
-  EXPECT_EQ(out.flags & kFlagTraced, 0);
+  EXPECT_EQ(decoded->trace_id, 0xdeadbeefu);
+  // Clearing the id touches no other field: flags and status stay clear.
+  out.trace_id = 0;
+  EXPECT_EQ(out.trace_id, 0u);
+  EXPECT_EQ(out.flags, 0);
+  EXPECT_EQ(out.status, 0u);
 }
 
 TEST(DistributedTraceTest, TracedRequestRecordsServerSpansUnderItsId) {
@@ -71,7 +72,7 @@ TEST(DistributedTraceTest, TracedRequestRecordsServerSpansUnderItsId) {
   PageBuffer page;
   FillPattern(page.span(), 7);
   Message out = MakePageOut(2, alloc.slot, page.span());
-  StampTraceId(&out, 77);
+  out.trace_id = 77;
   ASSERT_EQ(server.Handle(out).status_code(), ErrorCode::kOk);
   const std::vector<ServerSpan> spans = server.span_ring().Spans();
   ASSERT_FALSE(spans.empty());
@@ -351,7 +352,7 @@ TEST(DistributedTraceTest, ServerSpanRingOverflowCountsDropsAndNeverCrashes) {
   FillPattern(page.span(), 1);
   for (uint64_t i = 0; i < 64; ++i) {
     Message out = MakePageOut(i + 2, alloc.slot + i, page.span());
-    StampTraceId(&out, static_cast<uint32_t>(i + 1));
+    out.trace_id = static_cast<uint32_t>(i + 1);
     ASSERT_EQ(server.Handle(out).status_code(), ErrorCode::kOk);
   }
   EXPECT_EQ(server.span_ring().size(), 8u);
@@ -365,7 +366,7 @@ TEST(DistributedTraceTest, ServerSpanRingOverflowCountsDropsAndNeverCrashes) {
   // A zero-capacity ring is the disabled path: Record is a no-op.
   server.span_ring().SetCapacity(0);
   Message out = MakePageOut(99, alloc.slot + 5, page.span());
-  StampTraceId(&out, 123);
+  out.trace_id = 123;
   ASSERT_EQ(server.Handle(out).status_code(), ErrorCode::kOk);
   EXPECT_EQ(server.span_ring().size(), 0u);
 }

@@ -160,6 +160,44 @@ TEST_F(FaultTransportTest, CorruptHeaderOnEmptyPayloadIsProtocolError) {
   EXPECT_EQ(reply.status().code(), ErrorCode::kProtocol);
 }
 
+TEST_F(FaultTransportTest, CorruptRequestHeaderNeverApplies) {
+  // Every pageout takes one seeded header bit flip: whichever field it lands
+  // in, the header CRC rejects the frame and no page is stored at any slot.
+  InstallOne({.kind = FaultKind::kCorruptRequestHeader,
+              .probability = 1.0,
+              .only_type = MessageType::kPageOut,
+              .repeat = -1});
+  constexpr int kOps = 256;
+  for (int i = 0; i < kOps; ++i) {
+    auto reply = PageOutVia(6);
+    ASSERT_FALSE(reply.ok()) << "op " << i;
+    ASSERT_EQ(reply.status().code(), ErrorCode::kCorruption) << "op " << i;
+  }
+  EXPECT_EQ(fault_->fault_stats().count(FaultKind::kCorruptRequestHeader), kOps);
+  EXPECT_FALSE(server_->Holds(slot_));
+  EXPECT_EQ(server_->live_pages(), 0u);
+  EXPECT_EQ(server_->stats().pageouts_served.load(), 0);
+}
+
+TEST_F(FaultTransportTest, CorruptReplyHeaderAppliesAndTheRetryIsIdempotent) {
+  InstallOne({.kind = FaultKind::kCorruptReplyHeader, .at_op = 0,
+              .only_type = MessageType::kPageOut});
+  auto reply = PageOutVia(7);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(fault_->fault_stats().count(FaultKind::kCorruptReplyHeader), 1);
+  // The pageout landed; only its ack was corrupted on the way back.
+  ASSERT_TRUE(server_->Holds(slot_));
+  // The caller cannot trust the ack, so it retries: the same page is stored
+  // again at the same slot and acked.
+  ASSERT_TRUE(PageOutVia(7).ok());
+  EXPECT_EQ(server_->stats().pageouts_served.load(), 2);
+  EXPECT_EQ(server_->live_pages(), 1u);
+  auto stored = server_->Load(slot_);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_TRUE(CheckPattern(stored->span(), 7));
+}
+
 TEST_F(FaultTransportTest, DisconnectPersistsUntilReconnect) {
   InstallOne({.kind = FaultKind::kDisconnect, .at_op = 0});
   ASSERT_FALSE(PageOutVia(1).ok());
@@ -211,7 +249,7 @@ TEST_F(FaultTransportTest, ClockGatesTimeTriggeredRules) {
 }
 
 TEST(FaultKindNameTest, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(FaultKind::kCrashAfterApply); ++k) {
+  for (size_t k = 0; k < kFaultKindCount; ++k) {
     EXPECT_FALSE(FaultKindName(static_cast<FaultKind>(k)).empty()) << k;
   }
 }
@@ -281,6 +319,27 @@ TEST(FaultPlanTest, RepeatBoundsFirings) {
   }
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(plan.faults_fired(), 2);
+}
+
+TEST(FaultPlanTest, HeaderCorruptionBitIsSeededAndPastTheMagic) {
+  // The flipped bit comes from the plan's RNG: the same seed flips the same
+  // bits, and none of them is a magic bit (that would be a PROTOCOL error).
+  auto drawn_bits = [](uint64_t seed) {
+    FaultPlan plan(seed);
+    plan.AddRule({.kind = FaultKind::kCorruptRequestHeader, .probability = 1.0, .repeat = -1});
+    std::vector<int> bits;
+    for (int i = 0; i < 64; ++i) {
+      FaultRule fired;
+      EXPECT_EQ(plan.Decide(MakePageIn(static_cast<uint64_t>(i), 0), 0, &fired),
+                FaultKind::kCorruptRequestHeader);
+      EXPECT_GE(fired.corrupt_bit, 32);
+      EXPECT_LT(fired.corrupt_bit, static_cast<int>(kWirePrefixSize * 8));
+      bits.push_back(fired.corrupt_bit);
+    }
+    return bits;
+  };
+  EXPECT_EQ(drawn_bits(11), drawn_bits(11));
+  EXPECT_NE(drawn_bits(11), drawn_bits(12));
 }
 
 TEST(FaultPlanTest, AtTimeTriggersAtOrAfterDeadline) {

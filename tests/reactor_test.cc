@@ -38,6 +38,7 @@
 #include "src/transport/scheduler.h"
 #include "src/transport/tcp.h"
 #include "src/util/bytes.h"
+#include "tests/wire_test_util.h"
 
 namespace rmp {
 namespace {
@@ -602,6 +603,47 @@ TEST_F(ReactorLoopTest, LocalCloseStopsDeliveryAndHangsUpOnThePeer) {
   reactor_->Stop();
   EXPECT_EQ(sink_->frames().size(), 1u);
   EXPECT_EQ(sink_->closes(), 1);
+}
+
+TEST_F(ReactorLoopTest, FlippedSlotBitClosesTheConnectionUndelivered) {
+  PageBuffer page;
+  FillPattern(page.span(), 8);
+  std::vector<uint8_t> frame = Encode(MakePageOut(2, 6, page.span()));
+  frame[kSlotOffset] ^= 0x01;
+  SendBytes(frame);
+  ASSERT_TRUE(sink_->WaitForClose());
+  EXPECT_EQ(sink_->close_reason().code(), ErrorCode::kCorruption);
+  reactor_->Stop();
+  EXPECT_EQ(sink_->closes(), 1);
+  EXPECT_EQ(sink_->frame_count(), 0u);  // The sink never sees the frame.
+}
+
+TEST_F(ReactorLoopTest, EveryHeaderBitFlipClosesItsConnectionUndelivered) {
+  // The receive fast path checks each prefix with the same DecodeHeader as
+  // FrameReader and ReadFrame: one connection per flipped bit, each closed
+  // before its frame reaches the sink.
+  PageBuffer page;
+  FillPattern(page.span(), 9);
+  Message request = MakePageOut(2, 6, page.span());
+  request.tenant = 3;
+  request.epoch = 4;
+  request.trace_id = 5;
+  const std::vector<uint8_t> good = Encode(request);
+  for (size_t bit = 0; bit < kWirePrefixSize * 8; ++bit) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    UniqueFd peer(fds[1]);
+    auto sink = std::make_shared<RecordingSink>();
+    ASSERT_NE(reactor_->Register(UniqueFd(fds[0]), sink), nullptr);
+    std::vector<uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_EQ(::send(peer.get(), bad.data(), bad.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bad.size()));
+    ASSERT_TRUE(sink->WaitForClose()) << "bit " << bit;
+    EXPECT_EQ(sink->close_reason().code(), bit < 32 ? ErrorCode::kProtocol : ErrorCode::kCorruption)
+        << "bit " << bit;
+    ASSERT_EQ(sink->frame_count(), 0u) << "bit " << bit;
+  }
 }
 
 // --- Run to completion on the caller ---------------------------------------------

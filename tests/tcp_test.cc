@@ -19,6 +19,7 @@
 
 #include "src/server/memory_server.h"
 #include "src/util/bytes.h"
+#include "tests/wire_test_util.h"
 
 namespace rmp {
 namespace {
@@ -495,6 +496,45 @@ TEST(TcpRawPeerTest, CorruptReplyFailsTheBlockedWait) {
   EXPECT_NE(reply.status().message().find("CRC"), std::string::npos)
       << reply.status().ToString();
   EXPECT_FALSE((*client)->connected());
+}
+
+// A raw client in place of a TcpTransport, so a test can put arbitrary bytes
+// on the server's wire.
+UniqueFd ConnectRaw(uint16_t port) {
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fd.Reset();
+  }
+  return fd;
+}
+
+// A PAGEOUT whose slot took one bit flip in flight names another granted
+// slot. The server must drop the connection at the header check instead of
+// storing the page over that slot and acking it OK.
+TEST_F(TcpTest, FlippedSlotBitClosesTheConnectionAndStoresNothing) {
+  UniqueFd fd = ConnectRaw(tcp_server_->port());
+  ASSERT_GE(fd.get(), 0);
+  ASSERT_TRUE(SendFrame(fd.get(), MakeAllocRequest(1, 4)).ok());
+  auto alloc = ReadFrame(fd.get());
+  ASSERT_TRUE(alloc.ok()) << alloc.status().ToString();
+  ASSERT_EQ(alloc->status_code(), ErrorCode::kOk);
+  const uint64_t slot = alloc->slot + (alloc->slot & 1);  // Even: slot ^ 1 is granted too.
+  PageBuffer page;
+  FillPattern(page.span(), 3);
+  std::vector<uint8_t> frame = Encode(MakePageOut(2, slot, page.span()));
+  frame[kSlotOffset] ^= 0x01;
+  ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  auto reply = ReadFrame(fd.get());
+  EXPECT_FALSE(reply.ok()) << "acked " << ErrorCodeName(reply->status_code()) << " for slot "
+                           << reply->slot;
+  EXPECT_FALSE(server_->Holds(slot));
+  EXPECT_FALSE(server_->Holds(slot ^ 1));
+  EXPECT_EQ(server_->stats().pageouts_served.load(), 0);
 }
 
 // Two submissions of one request_id that both wait for send space: one is

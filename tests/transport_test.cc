@@ -68,7 +68,7 @@ TEST_F(InProcTransportTest, CountsWireBytes) {
   ASSERT_TRUE(alloc.ok());
   const uint64_t before = transport_.bytes_sent();
   ASSERT_TRUE(transport_.Call(MakePageOut(2, alloc->slot, page.span())).ok());
-  EXPECT_EQ(transport_.bytes_sent() - before, kWireHeaderSize + 4 + kPageSize);
+  EXPECT_EQ(transport_.bytes_sent() - before, kWirePrefixSize + kPageSize);
   EXPECT_EQ(transport_.calls(), 2u);
 }
 

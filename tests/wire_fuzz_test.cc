@@ -20,6 +20,7 @@
 #include "src/util/bytes.h"
 #include "src/util/events.h"
 #include "src/util/rng.h"
+#include "tests/wire_test_util.h"
 
 namespace rmp {
 namespace {
@@ -106,10 +107,11 @@ TEST(WireFuzzTest, FrameReaderRejectsDesynchronizedStream) {
 
 TEST(WireFuzzTest, OversizedPayloadLengthIsRejectedBeforeAllocation) {
   std::vector<uint8_t> bytes = Encode(MakeLoadQuery(1));
-  // Patch payload_len (the 4 bytes after the 48-byte header) to a value that
-  // would demand a multi-gigabyte allocation if trusted.
+  // Patch payload_len to a value that would demand a multi-gigabyte
+  // allocation if trusted, behind a valid header CRC.
   const uint32_t huge = kMaxWirePayload + 1;
-  std::memcpy(bytes.data() + kWireHeaderSize, &huge, sizeof(huge));
+  std::memcpy(bytes.data() + kPayloadLenOffset, &huge, sizeof(huge));
+  ResealHeader(&bytes);
   auto decoded = Decode(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), ErrorCode::kProtocol);
@@ -154,10 +156,71 @@ TEST(WireFuzzTest, EverySingleBitFlipOfAPagePayloadIsRejected) {
 
 TEST(WireFuzzTest, UnknownMessageTypeIsAProtocolError) {
   std::vector<uint8_t> bytes = Encode(MakeLoadQuery(1));
-  bytes[4] = 0xee;  // The type byte follows the 4-byte magic.
+  bytes[kTypeOffset] = 0xee;
+  ResealHeader(&bytes);
   auto decoded = Decode(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), ErrorCode::kProtocol);
+}
+
+TEST(WireFuzzTest, FlippedSlotBitOnAPageOutIsCorruption) {
+  // One flipped slot bit would store the page over another slot and ack it
+  // OK; the header CRC turns it into CORRUPTION before anything reads the
+  // slot.
+  std::vector<uint8_t> bytes = Encode(SamplePageOut());
+  bytes[kSlotOffset] ^= 0x01;  // Slot 3 becomes slot 2.
+  auto decoded = Decode(bytes);
+  ASSERT_FALSE(decoded.ok()) << "decoded with slot " << decoded->slot;
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+}
+
+// One frame of every message type with every header field nonzero — traced
+// and epoch-stamped — plus the untraced samples the other sweeps use.
+std::vector<Message> EveryMessageKind() {
+  std::vector<Message> kinds = SampleMessages();
+  for (int t = static_cast<int>(MessageType::kAllocRequest);
+       t <= static_cast<int>(MessageType::kEventsReply); ++t) {
+    Message m;
+    m.type = static_cast<MessageType>(t);
+    m.flags = kFlagAdviseStop;
+    m.tenant = 7;
+    m.request_id = 0x1122334455667788ULL;
+    m.slot = 0x0102030405060708ULL;
+    m.count = 3;
+    m.aux = 1;
+    m.epoch = 9;
+    m.status = static_cast<uint32_t>(ErrorCode::kStaleEpoch);
+    m.trace_id = 0xdeadbeef;
+    m.payload.assign(static_cast<size_t>(t) * 3, static_cast<uint8_t>(t));
+    kinds.push_back(std::move(m));
+  }
+  return kinds;
+}
+
+TEST(WireFuzzTest, EverySingleBitFlipOfEveryHeaderIsRejected) {
+  // Every byte that says where a page lands or whose it is sits under the
+  // header CRC: no single flipped prefix bit of any frame may decode, through
+  // Decode or through the stream reader, and the reader must reject it from
+  // the prefix alone instead of waiting for a payload.
+  for (const Message& original : EveryMessageKind()) {
+    std::vector<uint8_t> bytes = Encode(original);
+    ASSERT_TRUE(Decode(bytes).ok()) << MessageTypeName(original.type);
+    for (size_t bit = 0; bit < kWirePrefixSize * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      // A flipped magic is a desynchronized stream; anything after it fails
+      // the header CRC.
+      const ErrorCode want = bit < 32 ? ErrorCode::kProtocol : ErrorCode::kCorruption;
+      auto decoded = Decode(bytes);
+      ASSERT_FALSE(decoded.ok()) << MessageTypeName(original.type) << " bit " << bit;
+      ASSERT_EQ(decoded.status().code(), want) << MessageTypeName(original.type) << " bit " << bit;
+      FrameReader reader;
+      reader.Feed(std::span<const uint8_t>(bytes).first(kWirePrefixSize));
+      auto streamed = reader.Next();
+      ASSERT_FALSE(streamed.ok()) << MessageTypeName(original.type) << " bit " << bit;
+      ASSERT_EQ(streamed.status().code(), want) << MessageTypeName(original.type) << " bit " << bit;
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
 }
 
 // --- Batch validation -------------------------------------------------------
@@ -232,9 +295,9 @@ TEST(WireFuzzTest, OutOfRangeTenantIdIsRejectedAtDecode) {
   for (const uint16_t hostile : {static_cast<uint16_t>(kMaxTenantId + 1),
                                  static_cast<uint16_t>(0x8000), uint16_t{0xffff}}) {
     std::vector<uint8_t> bytes = Encode(MakeAllocRequest(1, 16));
-    // The tenant field is the u16 at bytes 6..7 (the pre-§15 reserved field).
-    bytes[6] = static_cast<uint8_t>(hostile & 0xff);
-    bytes[7] = static_cast<uint8_t>(hostile >> 8);
+    bytes[kTenantOffset] = static_cast<uint8_t>(hostile & 0xff);
+    bytes[kTenantOffset + 1] = static_cast<uint8_t>(hostile >> 8);
+    ResealHeader(&bytes);
     auto decoded = Decode(bytes);
     ASSERT_FALSE(decoded.ok()) << "tenant " << hostile << " decoded";
     EXPECT_EQ(decoded.status().code(), ErrorCode::kProtocol);
@@ -267,10 +330,11 @@ TEST(WireFuzzTest, StrictServerAnswersUnknownTenantFramesCleanly) {
 }
 
 TEST(WireFuzzTest, FlippedTenantAndFlagBytesNeverCrossCharge) {
-  // Seeded sweep over the unprotected header bytes (flags at 5, tenant at
-  // 6..7): whatever id a flip lands on, the decode either rejects it or the
-  // server attributes the op to exactly that id — occupancy charged to any
-  // tenant must match the grants that tenant's own admitted allocs received.
+  // Seeded sweep over the flags and tenant bytes, re-sealed so every flip
+  // gets past the header CRC: whatever id a flip lands on, the decode either
+  // rejects it or the server attributes the op to exactly that id —
+  // occupancy charged to any tenant must match the grants that tenant's own
+  // admitted allocs received.
   MemoryServerParams params;
   params.tenants.tenants = {{.id = 7, .memory_quota_pages = 256}, {.id = 9}};
   MemoryServer server(params);
@@ -282,8 +346,9 @@ TEST(WireFuzzTest, FlippedTenantAndFlagBytesNeverCrossCharge) {
     std::vector<uint8_t> bytes = Encode(request);
     const int flips = 1 + static_cast<int>(rng.Below(3));
     for (int f = 0; f < flips; ++f) {
-      bytes[5 + rng.Below(3)] ^= static_cast<uint8_t>(1 + rng.Below(255));
+      bytes[kFlagsOffset + rng.Below(3)] ^= static_cast<uint8_t>(1 + rng.Below(255));
     }
+    ResealHeader(&bytes);
     auto decoded = Decode(bytes);
     if (!decoded.ok()) {
       continue;  // Out-of-range id: rejected before attribution, by design.
@@ -295,7 +360,7 @@ TEST(WireFuzzTest, FlippedTenantAndFlagBytesNeverCrossCharge) {
   }
   for (const auto& [tenant, pages] : granted) {
     if (tenant == 0) {
-      continue;  // The legacy lane is deliberately unaccounted.
+      continue;  // The untenanted lane is deliberately unaccounted.
     }
     EXPECT_EQ(server.TenantReservedPages(tenant), pages) << "tenant " << tenant;
   }
@@ -493,7 +558,8 @@ TEST(WireFuzzTest, OversizedIntrospectionPayloadLengthIsRejectedBeforeAllocation
   for (const Message& sample : SampleIntrospectionReplies()) {
     std::vector<uint8_t> bytes = Encode(sample);
     const uint32_t huge = kMaxWirePayload + 1;
-    std::memcpy(bytes.data() + kWireHeaderSize, &huge, sizeof(huge));
+    std::memcpy(bytes.data() + kPayloadLenOffset, &huge, sizeof(huge));
+    ResealHeader(&bytes);
     auto decoded = Decode(bytes);
     ASSERT_FALSE(decoded.ok()) << MessageTypeName(sample.type);
     EXPECT_EQ(decoded.status().code(), ErrorCode::kProtocol);
@@ -547,8 +613,10 @@ TEST(WireFuzzTest, ServerAnswersIntrospectionQueriesUnderFlippedHeaders) {
                                         MakeEventsQuery(5, 0xffffffffffffffffull)};
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<uint8_t> bytes = Encode(queries[static_cast<size_t>(iter) % queries.size()]);
-    // Flip within the header only, so some frames keep a valid CRC.
-    bytes[rng.Below(kWireHeaderSize)] ^= static_cast<uint8_t>(1 + rng.Below(255));
+    // Flip within the header only and re-seal it, so some frames keep a
+    // valid CRC and reach the handlers.
+    bytes[rng.Below(kWirePrefixSize - 4)] ^= static_cast<uint8_t>(1 + rng.Below(255));
+    ResealHeader(&bytes);
     auto decoded = Decode(bytes);
     if (!decoded.ok()) {
       continue;

@@ -15,7 +15,7 @@ Message SamplePage(uint64_t request_id) {
 
 TEST(WireTest, HeaderSizeAudited) {
   const Message m = MakeLoadQuery(1);
-  EXPECT_EQ(Encode(m).size(), kWireHeaderSize + 4);
+  EXPECT_EQ(Encode(m).size(), kWirePrefixSize);
 }
 
 TEST(WireTest, RoundTripEmptyPayload) {
@@ -95,7 +95,7 @@ TEST(WireTest, AdviseStopFlagSurvives) {
 
 TEST(WireTest, CorruptPayloadDetected) {
   std::vector<uint8_t> encoded = Encode(SamplePage(1));
-  encoded[kWireHeaderSize + 4 + 100] ^= 0xff;  // Flip a payload byte.
+  encoded[kWirePrefixSize + 100] ^= 0xff;  // Flip a payload byte.
   auto decoded = Decode(std::span<const uint8_t>(encoded));
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
@@ -165,14 +165,14 @@ TEST(FrameReaderTest, MultipleMessagesInOneFeed) {
 
 TEST(FrameReaderTest, DesynchronizedStreamReportsProtocolError) {
   FrameReader reader;
-  std::vector<uint8_t> junk(kWireHeaderSize + 4, 0xab);
+  std::vector<uint8_t> junk(kWirePrefixSize, 0xab);
   reader.Feed(std::span<const uint8_t>(junk));
   EXPECT_EQ(reader.Next().status().code(), ErrorCode::kProtocol);
 }
 
 TEST(FrameReaderTest, CorruptFrameConsumedNotStuck) {
   std::vector<uint8_t> encoded = Encode(SamplePage(1));
-  encoded[kWireHeaderSize + 4] ^= 0xff;
+  encoded[kWirePrefixSize] ^= 0xff;
   std::vector<uint8_t> stream = encoded;
   EncodeTo(MakeLoadQuery(2), &stream);
   FrameReader reader;
