@@ -141,8 +141,7 @@ void BM_VmArrayGetSequential(benchmark::State& state) {
 BENCHMARK(BM_VmArrayGetSequential);
 
 // Reads alternating between two resident pages, like a Hoare partition's i
-// and j scans: every access misses the translation cache but hits the page
-// table.
+// and j scans: every access hits the two-entry translation cache.
 void BM_VmArrayGetTwoPages(benchmark::State& state) {
   auto testbed = HitOnlyTestbed();
   PagedVm vm(kHitOnlyVm, &testbed->backend());
@@ -158,6 +157,25 @@ void BM_VmArrayGetTwoPages(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
 }
 BENCHMARK(BM_VmArrayGetTwoPages);
+
+// Reads rotating over three resident pages: every access misses the
+// two-entry translation cache and takes the slow path through the page table.
+void BM_VmArrayGetThreePages(benchmark::State& state) {
+  auto testbed = HitOnlyTestbed();
+  PagedVm vm(kHitOnlyVm, &testbed->backend());
+  VmArray<uint64_t> array(&vm, 0, 64 * kPageSize / sizeof(uint64_t));
+  const uint64_t per_page = kPageSize / sizeof(uint64_t);
+  TimeNs now = 0;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(array.Get(&now, i));
+    benchmark::DoNotOptimize(array.Get(&now, array.size() / 2 + i));
+    benchmark::DoNotOptimize(array.Get(&now, array.size() - 1 - i));
+    i = (i + 1) % per_page;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 3);
+}
+BENCHMARK(BM_VmArrayGetThreePages);
 
 void BM_InProcPageOutRpc(benchmark::State& state) {
   MemoryServerParams params;

@@ -42,9 +42,11 @@ sanitizers=("${@:-address}")
 # threads while pollers drain them over the wire — TSan territory — and the
 # introspection-reply fuzz sweeps plus the live rmptop demo (real TCP, traffic
 # thread) are where ASan would catch a payload view escaping its frame.
-# vm_smoke covers the VM: the flat page table, the inline translation cache
-# and the replacement policies' frame-indexed lists, whose index arithmetic
-# is where ASan/UBSan would catch an out-of-bounds frame or page.
+# vm_smoke covers the VM: the flat page table, the two-entry translation
+# cache and the replacement policies' frame-indexed lists, whose index
+# arithmetic is where ASan/UBSan would catch an out-of-bounds frame or page.
+# faults_smoke also carries the in-process transport's tests, whose
+# Disconnect/Reconnect race with a calling thread is TSan's to catch.
 label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|vm_smoke}"
 
 for sanitizer in "${sanitizers[@]}"; do
@@ -54,13 +56,13 @@ for sanitizer in "${sanitizers[@]}"; do
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DRMP_SANITIZE="${sanitizer}"
   echo "==> [${sanitizer}] building"
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
   echo "==> [${sanitizer}] running ctest -L ${label}"
   # halt_on_error makes ASan/UBSan findings fail the test instead of just
   # printing; detect_leaks catches anything the fault paths drop on the floor.
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "${build_dir}" -L "${label}" --output-on-failure -j
+    ctest --test-dir "${build_dir}" -L "${label}" --output-on-failure -j "$(nproc)"
   echo "==> [${sanitizer}] OK"
 done

@@ -9,6 +9,7 @@
 #ifndef SRC_TRANSPORT_INPROC_TRANSPORT_H_
 #define SRC_TRANSPORT_INPROC_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "src/transport/transport.h"
@@ -39,7 +40,9 @@ class InProcTransport final : public Transport {
 
  private:
   MessageHandler* handler_;
-  bool connected_ = true;
+  // Atomic: fault injection toggles it from a test thread while a background
+  // caller (the HealthMonitor pump) reads it in Call.
+  std::atomic<bool> connected_{true};
   bool drop_next_reply_ = false;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;

@@ -138,7 +138,7 @@ class TcpTransport::Demux final : public FrameSink {
     state->conn = conn;  // Wait() may read the reply off this connection itself.
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      space_cv_.wait(lock, [this] { return stopping_ || unsent_ < kMaxQueuedSends; });
+      WaitForSpace(lock);
       if (stopping_) {
         return RpcFuture::MakeReady(UnavailableError("transport closed"));
       }
@@ -166,7 +166,7 @@ class TcpTransport::Demux final : public FrameSink {
       if (stopping_) {
         return UnavailableError("transport closed");
       }
-      space_cv_.wait(lock, [this] { return stopping_ || unsent_ < kMaxQueuedSends; });
+      WaitForSpace(lock);
       if (stopping_) {
         return UnavailableError("transport closed");
       }
@@ -209,6 +209,11 @@ class TcpTransport::Demux final : public FrameSink {
     return pending_.size();
   }
 
+  size_t space_waiters() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return space_waiters_;
+  }
+
   // FrameSink.
   void OnFrame(Message frame, bool /*more*/) override {
     TcpMetrics().frames_received.Increment();
@@ -236,6 +241,17 @@ class TcpTransport::Demux final : public FrameSink {
   }
 
  private:
+  // Blocks under `lock` until a frame may be queued or the transport stops.
+  // Only a caller that finds the queue full is counted in space_waiters_.
+  void WaitForSpace(std::unique_lock<std::mutex>& lock) {
+    const auto has_space = [this] { return stopping_ || unsent_ < kMaxQueuedSends; };
+    if (!has_space()) {
+      ++space_waiters_;
+      space_cv_.wait(lock, has_space);
+      --space_waiters_;
+    }
+  }
+
   void OnWritten() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -252,6 +268,7 @@ class TcpTransport::Demux final : public FrameSink {
   std::condition_variable space_cv_;
   std::unordered_map<uint64_t, std::shared_ptr<RpcFuture::State>> pending_;
   size_t unsent_ = 0;  // Frames accepted but not yet on the wire.
+  size_t space_waiters_ = 0;  // Callers blocked in WaitForSpace.
   bool stopping_ = false;
   std::atomic<bool> connected_{true};
 };
@@ -328,6 +345,8 @@ Status TcpTransport::SendOneWay(const Message& request) {
 bool TcpTransport::connected() const { return demux_->connected(); }
 
 size_t TcpTransport::inflight() const { return demux_->inflight(); }
+
+size_t TcpTransport::space_waiters() const { return demux_->space_waiters(); }
 
 // --- TcpServer --------------------------------------------------------------
 

@@ -95,6 +95,10 @@ class TcpTransport final : public Transport {
   // Number of requests currently awaiting a reply (test/debug probe).
   size_t inflight() const;
 
+  // Number of callers blocked in CallAsync or SendOneWay because
+  // kMaxQueuedSends frames already wait for the wire (test/debug probe).
+  size_t space_waiters() const;
+
  private:
   class Demux;  // The connection's FrameSink: request_id → future demux.
 

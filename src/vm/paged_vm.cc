@@ -20,6 +20,23 @@ PagedVm::PagedVm(const VmParams& params, PagingBackend* backend)
   }
 }
 
+void PagedVm::SetAccessObserver(AccessObserver observer) {
+  ForgetCache();
+  observer_ = std::move(observer);
+}
+
+void PagedVm::ReplayOrder() {
+  if (order_stale_) {
+    policy_->OnAccess(cache_[0].frame);
+    order_stale_ = false;
+  }
+}
+
+void PagedVm::ForgetCache() {
+  ReplayOrder();
+  cache_[0] = cache_[1] = CacheEntry{};
+}
+
 Result<uint32_t> PagedVm::TakeFreeFrame(TimeNs* now) {
   if (!free_frames_.empty()) {
     const uint32_t frame = free_frames_.back();
@@ -49,7 +66,7 @@ Result<uint32_t> PagedVm::TakeFreeFrame(TimeNs* now) {
 
 Result<uint32_t> PagedVm::Fault(TimeNs* now, uint64_t vpage) {
   ++stats_.faults;
-  cached_vpage_ = kNoPage;  // The victim may be the cached page.
+  ForgetCache();  // The victim may be a cached page.
   RMP_ASSIGN_OR_RETURN(const uint32_t frame, TakeFreeFrame(now));
   Frame& slot = frames_[frame];
   if (ever_paged_out_[vpage]) {
@@ -79,6 +96,7 @@ Result<uint32_t> PagedVm::Translate(TimeNs* now, uint64_t vpage, bool write) {
   if (observer_) {
     observer_(vpage, write);
   }
+  ReplayOrder();
   ++stats_.accesses;
   uint32_t frame = page_table_[vpage];
   if (frame != kNoFrame) {
@@ -91,8 +109,11 @@ Result<uint32_t> PagedVm::Translate(TimeNs* now, uint64_t vpage, bool write) {
     frames_[frame].dirty = true;
   }
   if (!observer_) {
-    cached_vpage_ = vpage;
-    cached_frame_ = frame;
+    // The previous entry 0 is now second in the policy's order.
+    if (vpage != cache_[0].vpage) {
+      cache_[1] = cache_[0];
+    }
+    cache_[0] = {vpage, frame};
   }
   return frame;
 }
@@ -146,6 +167,7 @@ Status PagedVm::FlushDirty(TimeNs* now) {
 }
 
 void PagedVm::InvalidateAll() {
+  ForgetCache();
   for (uint32_t f = 0; f < params_.physical_frames; ++f) {
     if (frames_[f].live) {
       policy_->OnEvict(f);
@@ -154,7 +176,6 @@ void PagedVm::InvalidateAll() {
       frames_[f].dirty = false;
     }
   }
-  cached_vpage_ = kNoPage;
   free_frames_.clear();
   for (uint32_t f = 0; f < params_.physical_frames; ++f) {
     free_frames_.push_back(params_.physical_frames - 1 - f);

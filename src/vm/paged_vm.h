@@ -9,16 +9,21 @@
 // First-touch pages are zero-filled without device traffic, exactly like a
 // real VM.
 //
-// Translation is a flat page table (vpage -> frame) plus a one-entry cache of
-// the last translation, which stands in for the MMU's TLB. A Read or Write
-// whose span lies inside the cached page is served inline: it counts the
-// access and the hit, marks the frame dirty on a write and copies. Skipping
-// the policy there is exact, because referencing the most recent page again
-// changes no policy state (LRU: already the front; CLOCK: its bit is already
-// set, and only a sweep inside a fault clears it; FIFO: ignores references).
-// The cache is cleared by every fault, by InvalidateAll and by
-// SetAccessObserver, and is never filled while an observer is attached, so
-// an observer sees every access.
+// Translation is a flat page table (vpage -> frame) plus a two-entry cache of
+// the last two translations, which stands in for the MMU's TLB. A Read or
+// Write whose span lies inside a cached page is served inline: it counts the
+// access and the hit, marks the frame dirty on a write and copies. A hit on
+// entry 0 (the most recent) changes no policy state. A hit on entry 1 swaps
+// the entries and flips `order_stale_`; before the policy is next consulted
+// (any Translate, hence any fault, InvalidateAll or SetAccessObserver), a
+// stale order is replayed as one OnAccess(entry 0). That keeps every policy
+// exact: between two slow-path calls only the two cached pages are
+// referenced, and both already sit at the front of the LRU list, so the one
+// reorder owed is "the more recent of the pair goes to the front"; under
+// CLOCK both reference bits are already set, and only a sweep inside a fault
+// clears one; FIFO ignores references. Every fault clears both entries (the
+// victim may be one of them). Neither entry is filled while an observer is
+// attached, so an observer sees every access.
 //
 // Two access layers:
 //   Touch(vpage, write)    — page-granular, used by the workload generators.
@@ -32,6 +37,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/paging_backend.h"
@@ -92,10 +98,7 @@ class PagedVm {
   // Write covers) before the fault path; used by the trace recorder. Pass
   // nullptr to detach.
   using AccessObserver = std::function<void(uint64_t vpage, bool write)>;
-  void SetAccessObserver(AccessObserver observer) {
-    observer_ = std::move(observer);
-    cached_vpage_ = kNoPage;
-  }
+  void SetAccessObserver(AccessObserver observer);
 
   const VmStats& stats() const { return stats_; }
   uint64_t resident_pages() const { return params_.physical_frames - free_frames_.size(); }
@@ -119,21 +122,42 @@ class PagedVm {
   static constexpr uint32_t kNoFrame = UINT32_MAX;
   static constexpr uint64_t kNoPage = UINT64_MAX;
 
-  // When [addr, addr + size) is non-empty and inside the cached page, counts
-  // a hit on it and returns the frame bytes at `addr`; otherwise nullptr.
+  struct CacheEntry {
+    uint64_t vpage = kNoPage;
+    uint32_t frame = kNoFrame;
+  };
+
+  // When [addr, addr + size) is non-empty and inside a cached page, counts a
+  // hit on it, makes it entry 0 and returns the frame bytes at `addr`;
+  // otherwise nullptr.
   uint8_t* CachedBytes(uint64_t addr, size_t size, bool write) {
+    const uint64_t vpage = addr / kPageSize;
     const uint64_t in_page = addr % kPageSize;
-    if (addr / kPageSize != cached_vpage_ || size == 0 || in_page + size > kPageSize) {
+    if (size == 0 || in_page + size > kPageSize) {
       return nullptr;
+    }
+    if (vpage != cache_[0].vpage) {
+      if (vpage != cache_[1].vpage) {
+        return nullptr;
+      }
+      std::swap(cache_[0], cache_[1]);
+      order_stale_ = !order_stale_;
     }
     ++stats_.accesses;
     ++stats_.hits;
-    Frame& slot = frames_[cached_frame_];
+    Frame& slot = frames_[cache_[0].frame];
     if (write) {
       slot.dirty = true;
     }
     return slot.data.data() + in_page;
   }
+
+  // Tells the policy the reorder the cache owes it, if any. Translate,
+  // InvalidateAll and SetAccessObserver call it before they touch the policy.
+  void ReplayOrder();
+
+  // Replays the owed reorder and empties the cache.
+  void ForgetCache();
 
   Status ReadSlow(TimeNs* now, uint64_t addr, std::span<uint8_t> out);
   Status WriteSlow(TimeNs* now, uint64_t addr, std::span<const uint8_t> in);
@@ -154,8 +178,8 @@ class PagedVm {
   std::vector<uint32_t> free_frames_;
   std::vector<uint32_t> page_table_;  // vpage -> frame, or kNoFrame.
   std::vector<bool> ever_paged_out_;  // vpage -> backend holds it.
-  uint64_t cached_vpage_ = kNoPage;   // Last translation, if any.
-  uint32_t cached_frame_ = kNoFrame;
+  CacheEntry cache_[2];               // [0] is the most recent translation.
+  bool order_stale_ = false;          // The policy has [1] ahead of [0].
   AccessObserver observer_;
   VmStats stats_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <tuple>
 #include <unordered_map>
 
 #include "src/core/testbed.h"
@@ -15,10 +16,13 @@ namespace {
 // A tiny deterministic backend recording traffic (no timing, no network).
 class RecordingBackend final : public PagingBackend {
  public:
+  enum class Op { kPageOut, kPageIn };
+
   Result<TimeNs> PageOut(TimeNs now, uint64_t page_id, std::span<const uint8_t> data) override {
     store_[page_id].Assign(data);
     ++stats_.pageouts;
     order_.push_back(page_id);
+    traffic_.emplace_back(Op::kPageOut, page_id);
     return now;
   }
   Result<TimeNs> PageIn(TimeNs now, uint64_t page_id, std::span<uint8_t> out) override {
@@ -31,12 +35,15 @@ class RecordingBackend final : public PagingBackend {
     }
     std::copy(it->second.span().begin(), it->second.span().end(), out.begin());
     ++stats_.pageins;
+    traffic_.emplace_back(Op::kPageIn, page_id);
     return now;
   }
   const BackendStats& stats() const override { return stats_; }
   std::string Name() const override { return "recording"; }
 
   const std::vector<uint64_t>& pageout_order() const { return order_; }
+  // Every served pageout and pagein, in order.
+  const std::vector<std::pair<Op, uint64_t>>& traffic() const { return traffic_; }
   bool Holds(uint64_t page_id) const { return store_.count(page_id) > 0; }
   void FailNextPageIn() { fail_next_pagein_ = true; }
 
@@ -44,6 +51,7 @@ class RecordingBackend final : public PagingBackend {
   bool fail_next_pagein_ = false;
   std::unordered_map<uint64_t, PageBuffer> store_;
   std::vector<uint64_t> order_;
+  std::vector<std::pair<Op, uint64_t>> traffic_;
   BackendStats stats_;
 };
 
@@ -723,6 +731,101 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, VmDifferentialTest,
                          ::testing::Values(ReplacementKind::kLru, ReplacementKind::kClock,
                                            ReplacementKind::kFifo),
                          [](const auto& info) { return std::string(ReplacementKindName(info.param)); });
+
+// The two-entry translation cache serves hits without the policy and owes it
+// at most one reorder, replayed before the policy is next consulted. A twin
+// with a no-op observer never fills its cache, so its policy sees every
+// access; the cached VM must page the same pages in the same order.
+class VmCacheTwinTest : public ::testing::TestWithParam<std::tuple<ReplacementKind, uint32_t>> {};
+
+TEST_P(VmCacheTwinTest, PagesLikeATwinWhosePolicySeesEveryAccess) {
+  const auto [kind, frames] = GetParam();
+  constexpr uint64_t kPages = 12;
+  constexpr int kSteps = 4000;
+  const PagedVm::AccessObserver no_op = [](uint64_t, bool) {};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    VmParams params = SmallVm(frames, kPages);
+    params.replacement = kind;
+    RecordingBackend backend;
+    RecordingBackend twin_backend;
+    PagedVm vm(params, &backend);
+    PagedVm twin(params, &twin_backend);
+    twin.SetAccessObserver(no_op);
+    TimeNs now = 0;
+    TimeNs twin_now = 0;
+    Rng rng(seed);
+
+    auto access = [&](uint64_t addr, size_t size, bool write) {
+      std::vector<uint8_t> got(size);
+      std::vector<uint8_t> want(size);
+      if (write) {
+        for (uint8_t& b : got) {
+          b = static_cast<uint8_t>(rng.Next());
+        }
+        ASSERT_TRUE(vm.Write(&now, addr, std::span<const uint8_t>(got)).ok());
+        ASSERT_TRUE(twin.Write(&twin_now, addr, std::span<const uint8_t>(got)).ok());
+      } else {
+        ASSERT_TRUE(vm.Read(&now, addr, std::span<uint8_t>(got)).ok());
+        ASSERT_TRUE(twin.Read(&twin_now, addr, std::span<uint8_t>(want)).ok());
+        ASSERT_EQ(got, want) << "read-back differs at " << addr;
+      }
+    };
+    auto word_addr = [&](uint64_t page) { return page * kPageSize + 8 * rng.Below(kPageSize / 8); };
+
+    for (int step = 0; step < kSteps; ++step) {
+      const uint64_t op = rng.Below(100);
+      const uint64_t page = rng.Below(kPages);
+      const bool write = rng.Below(3) == 0;
+      if (op < 45) {  // Alternation between two pages, then maybe a third.
+        const uint64_t other = rng.Below(kPages);
+        for (uint64_t i = 0, n = 2 + rng.Below(24); i < n; ++i) {
+          access(word_addr(i % 2 == 0 ? page : other), 8, rng.Below(4) == 0);
+        }
+        if (rng.Below(2) == 0) {
+          access(word_addr(rng.Below(kPages)), 8, write);
+        }
+      } else if (op < 65) {
+        access(word_addr(page), 8, write);
+      } else if (op < 80) {
+        ASSERT_TRUE(vm.Touch(&now, page, write).ok());
+        ASSERT_TRUE(twin.Touch(&twin_now, page, write).ok());
+      } else if (op < 92) {  // A span across the end of `page`.
+        const uint64_t before = 1 + rng.Below(64);
+        const uint64_t addr = std::min(page + 1, kPages - 1) * kPageSize - before;
+        access(addr, before + rng.Below(64), write);
+      } else if (op < 95) {
+        ASSERT_TRUE(vm.FlushDirty(&now).ok());
+        ASSERT_TRUE(twin.FlushDirty(&twin_now).ok());
+      } else if (op < 96) {
+        vm.InvalidateAll();
+        twin.InvalidateAll();
+      } else {  // Attach or detach an observer on the cached VM only.
+        vm.SetAccessObserver(rng.Below(2) == 0 ? no_op : nullptr);
+      }
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+    ExpectSameStats(vm.stats(), twin.stats());
+    EXPECT_EQ(backend.traffic(), twin_backend.traffic());
+    for (uint64_t p = 0; p < kPages; ++p) {
+      EXPECT_EQ(vm.IsResident(p), twin.IsResident(p)) << "page " << p;
+      EXPECT_EQ(vm.IsDirty(p), twin.IsDirty(p)) << "page " << p;
+    }
+    EXPECT_GT(vm.stats().pageins, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, VmCacheTwinTest,
+    ::testing::Combine(::testing::Values(ReplacementKind::kLru, ReplacementKind::kClock,
+                                         ReplacementKind::kFifo),
+                       ::testing::Values(1u, 2u, 3u, 8u)),
+    [](const auto& info) {
+      return std::string(ReplacementKindName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param)) + "Frames";
+    });
 
 }  // namespace
 }  // namespace rmp

@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
@@ -561,31 +562,59 @@ TEST(TcpRawPeerTest, DuplicateIdThatWaitedForSendSpaceIsRejected) {
       submitted.store(id);
     }
   });
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (uint64_t last = 0;;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const uint64_t now = submitted.load();
-    if ((now == last && now > 0) || std::chrono::steady_clock::now() > deadline) {
-      break;
+  // Waits (bounded) until `n` callers are blocked for send space.
+  auto await_space_waiters = [transport](size_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (transport->space_waiters() < n) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    last = now;
-  }
+    return true;
+  };
+  EXPECT_TRUE(await_space_waiters(1)) << "the filler never blocked for send space";
   EXPECT_LT(submitted.load(), kFill) << "the send queue never filled";
 
   constexpr uint64_t kDup = 1'000'000;
   RpcFuture dup[2];
+  std::atomic<int> dups_returned{0};
   std::vector<std::thread> submitters;
   for (int i = 0; i < 2; ++i) {
-    submitters.emplace_back([&, i] { dup[i] = transport->CallAsync(MakeLoadQuery(kDup)); });
+    submitters.emplace_back([&, i] {
+      dup[i] = transport->CallAsync(MakeLoadQuery(kDup));
+      dups_returned.fetch_add(1);
+    });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Both wait for space.
+  // The filler and both duplicates wait for space.
+  EXPECT_TRUE(await_space_waiters(3)) << "a duplicate never blocked for send space";
 
-  // Now the peer drains the connection and answers every frame.
+  // Now the peer drains the connection and answers every frame. It holds
+  // the duplicate's answer until both submissions have returned: answered
+  // sooner, the id is free again when the second one wakes, and that one is
+  // rightly sent rather than rejected.
   std::thread peer([&] {
+    bool holding_dup = false;
     for (;;) {
+      if (holding_dup && dups_returned.load() == 2) {
+        holding_dup = false;
+        if (!SendFrame(server.get(), MakeErrorReply(kDup, ErrorCode::kOk)).ok()) {
+          return;
+        }
+      }
+      pollfd readable{.fd = server.get(), .events = POLLIN, .revents = 0};
+      if (::poll(&readable, 1, /*timeout_ms=*/1) == 0) {
+        continue;
+      }
       auto frame = ReadFrame(server.get());
-      if (!frame.ok() || !SendFrame(server.get(), MakeErrorReply(frame->request_id,
-                                                                 ErrorCode::kOk)).ok()) {
+      if (!frame.ok()) {
+        return;
+      }
+      if (frame->request_id == kDup) {
+        holding_dup = true;
+        continue;
+      }
+      if (!SendFrame(server.get(), MakeErrorReply(frame->request_id, ErrorCode::kOk)).ok()) {
         return;
       }
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "src/server/memory_server.h"
@@ -70,6 +73,35 @@ TEST_F(InProcTransportTest, CountsWireBytes) {
   ASSERT_TRUE(transport_.Call(MakePageOut(2, alloc->slot, page.span())).ok());
   EXPECT_EQ(transport_.bytes_sent() - before, kWirePrefixSize + kPageSize);
   EXPECT_EQ(transport_.calls(), 2u);
+}
+
+// Fault injection flips the connection from one thread while another calls,
+// as a crash injected under the HealthMonitor's background pump does. The
+// faults_smoke label runs this under TSan.
+TEST_F(InProcTransportTest, DisconnectRacesACallingThread) {
+  std::atomic<bool> stop{false};
+  std::atomic<int> calls{0};
+  int other = 0;  // Replies that are neither OK nor UNAVAILABLE.
+  std::thread caller([&] {
+    for (uint64_t id = 1; !stop.load(); ++id) {
+      const ErrorCode code = transport_.Call(MakeLoadQuery(id)).status().code();
+      if (code != ErrorCode::kOk && code != ErrorCode::kUnavailable) {
+        ++other;
+      }
+      calls.fetch_add(1);
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (calls.load() < 500 && std::chrono::steady_clock::now() < deadline) {
+    transport_.Disconnect();
+    std::this_thread::yield();
+    transport_.Reconnect();
+  }
+  stop.store(true);
+  caller.join();
+  EXPECT_GE(calls.load(), 500);
+  EXPECT_EQ(other, 0);
+  EXPECT_TRUE(transport_.Call(MakeLoadQuery(0)).ok());
 }
 
 TEST_F(InProcTransportTest, SendOneWayDelivers) {
