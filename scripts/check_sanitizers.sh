@@ -47,7 +47,10 @@ sanitizers=("${@:-address}")
 # arithmetic is where ASan/UBSan would catch an out-of-bounds frame or page.
 # faults_smoke also carries the in-process transport's tests, whose
 # Disconnect/Reconnect race with a calling thread is TSan's to catch.
-label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|vm_smoke}"
+# server_smoke covers the memory server's request path (gate, dispatch, the
+# shared write prelude, the batch loop) and its shard-parallel store, whose
+# striped locks and slab frames are hit from many threads at once.
+label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|vm_smoke|server_smoke}"
 
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="${repo_root}/build-${sanitizer}san"

@@ -55,79 +55,69 @@ class ScratchTimer {
   TimeNs t0_ = 0;
 };
 
-// A rate denial travels back in the reply shape the op expects, so clients
-// that only look at the status field keep working. Pageout-shaped denials
-// carry ADVISE_STOP: an over-rate tenant should back off exactly like one
-// paging against a full server.
-Message RateLimitedReply(const Message& request) {
-  switch (request.type) {
+// The single-slot data ops, whose owner check the gate runs before dispatch.
+// Batches check each entry in the batch loop, FREE its whole range.
+bool OwnerGated(MessageType type) {
+  switch (type) {
+    case MessageType::kPageOut:
     case MessageType::kPageIn:
     case MessageType::kDeltaPageOut:
-      return MakePageInReply(request.request_id, request.slot, {}, ErrorCode::kResourceExhausted);
-    case MessageType::kPageOut:
-      return MakePageOutAck(request.request_id, request.slot, ErrorCode::kResourceExhausted, true);
-    case MessageType::kPageOutBatch:
-      return MakePageOutBatchAck(request.request_id, 0, ErrorCode::kResourceExhausted, true);
-    case MessageType::kPageInBatch:
-      return MakePageInBatchReply(request.request_id, {}, ErrorCode::kResourceExhausted);
+    case MessageType::kXorMerge:
     case MessageType::kMigrate:
-      return MakeMigrateReply(request.request_id, request.slot, {}, ErrorCode::kResourceExhausted);
-    case MessageType::kXorMerge: {
-      Message reply;
-      reply.type = MessageType::kXorMergeAck;
-      reply.request_id = request.request_id;
-      reply.slot = request.slot;
-      reply.status = static_cast<uint32_t>(ErrorCode::kResourceExhausted);
-      return reply;
-    }
+      return true;
     default:
-      return MakeErrorReply(request.request_id, ErrorCode::kResourceExhausted);
+      return false;
   }
 }
 
-// A stale-epoch denial travels back in the reply shape the op expects, with
-// the server's current epoch so the client learns the new epoch
-// before it even re-queries the map (DESIGN.md §16). Never ADVISE_STOP: the
-// client is not overloading anyone, it is just behind.
-Message EpochStaleReply(const Message& request, uint64_t epoch) {
-  Message reply;
-  switch (request.type) {
+// The reply type each request type expects.
+MessageType ReplyType(MessageType type) {
+  switch (type) {
     case MessageType::kAllocRequest:
-      reply = MakeAllocReply(request.request_id, 0, ErrorCode::kStaleEpoch);
-      break;
+      return MessageType::kAllocReply;
     case MessageType::kFreeRequest:
-      reply.type = MessageType::kFreeReply;
-      reply.request_id = request.request_id;
-      reply.slot = request.slot;
-      reply.status = static_cast<uint32_t>(ErrorCode::kStaleEpoch);
-      break;
-    case MessageType::kPageIn:
-    case MessageType::kDeltaPageOut:
-      reply = MakePageInReply(request.request_id, request.slot, {}, ErrorCode::kStaleEpoch);
-      break;
+    case MessageType::kShutdown:
+      return MessageType::kFreeReply;
     case MessageType::kPageOut:
-      reply = MakePageOutAck(request.request_id, request.slot, ErrorCode::kStaleEpoch, false);
-      break;
-    case MessageType::kPageOutBatch:
-      reply = MakePageOutBatchAck(request.request_id, 0, ErrorCode::kStaleEpoch, false);
-      break;
-    case MessageType::kPageInBatch:
-      reply = MakePageInBatchReply(request.request_id, {}, ErrorCode::kStaleEpoch);
-      break;
-    case MessageType::kMigrate:
-      reply = MakeMigrateReply(request.request_id, request.slot, {}, ErrorCode::kStaleEpoch);
-      break;
+      return MessageType::kPageOutAck;
+    case MessageType::kPageIn:
+    case MessageType::kDeltaPageOut:  // The delta travels back PAGEIN_REPLY-shaped.
+      return MessageType::kPageInReply;
     case MessageType::kXorMerge:
-      reply.type = MessageType::kXorMergeAck;
-      reply.request_id = request.request_id;
-      reply.slot = request.slot;
-      reply.status = static_cast<uint32_t>(ErrorCode::kStaleEpoch);
-      break;
+      return MessageType::kXorMergeAck;
+    case MessageType::kMigrate:
+      return MessageType::kMigrateReply;
+    case MessageType::kPageOutBatch:
+      return MessageType::kPageOutBatchAck;
+    case MessageType::kPageInBatch:
+      return MessageType::kPageInBatchReply;
     default:
-      reply = MakeErrorReply(request.request_id, ErrorCode::kStaleEpoch);
-      break;
+      return MessageType::kErrorReply;
   }
-  reply.epoch = epoch;
+}
+
+// The one reply shaper: the reply `request`'s op expects, carrying `status`,
+// with the slot echoed for single-slot ops. Every denial (rate, stale epoch,
+// ownership) and every store result travels in this shape, so clients that
+// only look at the status field keep working. Callers add ADVISE_STOP, the
+// epoch, aux, count or a payload themselves.
+Message ReplyFor(const Message& request, ErrorCode status) {
+  Message reply;
+  reply.type = ReplyType(request.type);
+  reply.request_id = request.request_id;
+  reply.status = static_cast<uint32_t>(status);
+  if (OwnerGated(request.type) || request.type == MessageType::kFreeRequest) {
+    reply.slot = request.slot;
+  }
+  return reply;
+}
+
+// ReplyFor carrying `page`'s status and, when it is OK, its bytes.
+Message PageReply(const Message& request, const Result<PageBuffer>& page) {
+  Message reply = ReplyFor(request, page.status().code());
+  if (page.ok()) {
+    reply.payload.assign(page->span().begin(), page->span().end());
+  }
   return reply;
 }
 
@@ -745,30 +735,8 @@ Status MemoryServer::Free(uint64_t first_slot, uint64_t pages, uint16_t tenant) 
   if (pages == 0 || first_slot + pages > next_slot_.load(std::memory_order_relaxed)) {
     return InvalidArgumentError("bad free range");
   }
-  if (tenant_enforced_ && tenant != 0) {
-    // A nonzero tenant may free only its own runs (and legacy tenant-0 ones);
-    // check the whole range up front so a denied free leaves nothing behind.
-    const uint64_t end = first_slot + pages;
-    auto it = tenant_runs_.upper_bound(first_slot);
-    if (it != tenant_runs_.begin()) {
-      --it;
-    }
-    for (; it != tenant_runs_.end() && it->first < end; ++it) {
-      if (it->first + it->second.first <= first_slot) {
-        continue;
-      }
-      const uint16_t owner = it->second.second;
-      if (owner != tenant && owner != 0) {
-        std::lock_guard<std::mutex> tenant_lock(tenant_mutex_);
-        if (TenantState* state = TenantStateLocked(tenant)) {
-          state->denials->Increment();
-        }
-        return FailedPreconditionError("tenant " + std::to_string(tenant) +
-                                       " cannot free slots owned by tenant " +
-                                       std::to_string(owner));
-      }
-    }
-  }
+  // Check the whole range up front so a denied free leaves nothing behind.
+  RMP_RETURN_IF_ERROR(CheckOwnerLocked(first_slot, pages, tenant));
   for (uint64_t s = first_slot; s < first_slot + pages; ++s) {
     Shard& shard = ShardFor(s);
     std::lock_guard<std::mutex> shard_lock(shard.mutex);
@@ -823,32 +791,42 @@ void MemoryServer::ReleaseTenantRunsLocked(uint64_t first_slot, uint64_t pages) 
   }
 }
 
-Status MemoryServer::CheckSlotOwner(uint64_t slot, uint16_t tenant) const {
+Status MemoryServer::CheckOwnerLocked(uint64_t first_slot, uint64_t pages,
+                                      uint16_t tenant) const {
   if (!tenant_enforced_ || tenant == 0) {
     return OkStatus();
   }
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  auto it = tenant_runs_.upper_bound(slot);
-  if (it == tenant_runs_.begin()) {
-    return OkStatus();  // Untracked slot: legacy space.
+  const uint64_t end = first_slot + pages;
+  auto it = tenant_runs_.upper_bound(first_slot);
+  if (it != tenant_runs_.begin()) {
+    --it;
   }
-  --it;
-  if (slot >= it->first + it->second.first) {
-    return OkStatus();
-  }
-  const uint16_t owner = it->second.second;
-  if (owner != tenant && owner != 0) {
+  for (; it != tenant_runs_.end() && it->first < end; ++it) {
+    const auto [run_pages, owner] = it->second;
+    if (it->first + run_pages <= first_slot || owner == tenant || owner == 0) {
+      continue;  // Before the range, the caller's own run, or legacy space.
+    }
     std::lock_guard<std::mutex> tenant_lock(tenant_mutex_);
     if (TenantState* state = TenantStateLocked(tenant)) {
       state->denials->Increment();
     }
-    return FailedPreconditionError("slot " + std::to_string(slot) + " belongs to tenant " +
-                                   std::to_string(owner) + ", not " + std::to_string(tenant));
+    return FailedPreconditionError("tenant " + std::to_string(tenant) +
+                                   " cannot touch slots owned by tenant " +
+                                   std::to_string(owner));
   }
-  return OkStatus();
+  return OkStatus();  // Untracked slots are legacy space.
 }
 
-Status MemoryServer::Store(uint64_t slot, std::span<const uint8_t> page) {
+Status MemoryServer::CheckSlotOwner(uint64_t slot, uint16_t tenant) const {
+  if (!tenant_enforced_ || tenant == 0) {
+    return OkStatus();  // Skip the control lock on the untenanted path.
+  }
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return CheckOwnerLocked(slot, 1, tenant);
+}
+
+template <typename Body>
+Status MemoryServer::Write(uint64_t slot, std::span<const uint8_t> page, Body&& body) {
   ScratchTimer store_timer(&ServerTraceScratch::store_ns);
   if (crashed()) {
     return UnavailableError(params_.name + " crashed");
@@ -862,56 +840,77 @@ Status MemoryServer::Store(uint64_t slot, std::span<const uint8_t> page) {
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mutex);
   // Recheck under the shard lock: Crash() raises the flag before sweeping the
-  // shards, so a store that loses the race cannot resurrect a dropped page.
+  // shards, so a write that loses the race cannot resurrect a dropped page.
   if (crashed()) {
     return UnavailableError(params_.name + " crashed");
   }
   auto [it, inserted] = shard.pages.try_emplace(slot);
-  SlotRef& ref = it->second;
-  const bool elide_zero =
-      per_shard_hot_limit_ > 0 && params_.tier.compress && IsZeroBytes(page.data(), kPageSize);
-  if (elide_zero) {
-    if (!inserted) {
-      ReleaseStorageLocked(&shard, &ref);
-    }
-    ref.tier = SlotRef::Tier::kZero;
-    ref.clock = 0;
-    ref.ref = 0;
-    stats_.zero_elisions.fetch_add(1, std::memory_order_relaxed);
-  } else if (!inserted && ref.tier == SlotRef::Tier::kHot) {
-    // Overwrite in place: the frame is already ours.
-    std::memcpy(FramePtr(shard, ref.ref), page.data(), kPageSize);
-    ref.clock = 1;
-  } else {
-    if (!inserted) {
-      ReleaseStorageLocked(&shard, &ref);
-    }
-    const uint32_t frame = TakeFrameLocked(&shard);
-    std::memcpy(FramePtr(shard, frame), page.data(), kPageSize);
-    MakeHotLocked(&shard, slot, &ref, frame);
-    MaybeDemoteLocked(&shard);
-  }
-  if (params_.store_service_micros > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(params_.store_service_micros));
-  }
+  RMP_RETURN_IF_ERROR(body(shard, it->second, inserted));
   stats_.pageouts_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_stored.fetch_add(page.size(), std::memory_order_relaxed);
+  stats_.bytes_stored.fetch_add(kPageSize, std::memory_order_relaxed);
   return OkStatus();
 }
 
-Result<PageBuffer> MemoryServer::MigrateOut(uint64_t slot, uint16_t tenant) {
-  // Ownership gate before the Load: a cross-tenant MIGRATE must not even read
-  // the page, let alone free it.
-  RMP_RETURN_IF_ERROR(CheckSlotOwner(slot, tenant));
-  auto page = Load(slot);
-  if (!page.ok()) {
-    return page;
-  }
-  // The pagein counter was already bumped by Load; Free reclaims the slot so
-  // the drained server's donated memory is immediately reusable.
-  RMP_RETURN_IF_ERROR(Free(slot, 1, tenant));
-  stats_.migrations_served.fetch_add(1, std::memory_order_relaxed);
-  return page;
+template <typename Modify>
+Status MemoryServer::ReadModifyWrite(uint64_t slot, std::span<const uint8_t> page,
+                                     Modify&& modify) {
+  return Write(slot, page, [&](Shard& shard, SlotRef& ref, bool inserted) -> Status {
+    if (inserted) {
+      ref.tier = SlotRef::Tier::kZero;  // An absent slot reads as all-zeroes.
+    }
+    RMP_ASSIGN_OR_RETURN(const uint32_t frame, MaterializeHotLocked(&shard, slot, &ref));
+    ref.clock = 1;
+    modify(FramePtr(shard, frame));
+    MaybeDemoteLocked(&shard);
+    return OkStatus();
+  });
+}
+
+Status MemoryServer::Store(uint64_t slot, std::span<const uint8_t> page) {
+  return Write(slot, page, [&](Shard& shard, SlotRef& ref, bool inserted) {
+    const bool elide_zero =
+        per_shard_hot_limit_ > 0 && params_.tier.compress && IsZeroBytes(page.data(), kPageSize);
+    if (elide_zero) {
+      if (!inserted) {
+        ReleaseStorageLocked(&shard, &ref);
+      }
+      ref.tier = SlotRef::Tier::kZero;
+      ref.clock = 0;
+      ref.ref = 0;
+      stats_.zero_elisions.fetch_add(1, std::memory_order_relaxed);
+    } else if (!inserted && ref.tier == SlotRef::Tier::kHot) {
+      // Overwrite in place: the frame is already ours.
+      std::memcpy(FramePtr(shard, ref.ref), page.data(), kPageSize);
+      ref.clock = 1;
+    } else {
+      if (!inserted) {
+        ReleaseStorageLocked(&shard, &ref);
+      }
+      const uint32_t frame = TakeFrameLocked(&shard);
+      std::memcpy(FramePtr(shard, frame), page.data(), kPageSize);
+      MakeHotLocked(&shard, slot, &ref, frame);
+      MaybeDemoteLocked(&shard);
+    }
+    if (params_.store_service_micros > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(params_.store_service_micros));
+    }
+    return OkStatus();
+  });
+}
+
+Result<PageBuffer> MemoryServer::DeltaStore(uint64_t slot, std::span<const uint8_t> page) {
+  PageBuffer delta;
+  RMP_RETURN_IF_ERROR(ReadModifyWrite(slot, page, [&](uint8_t* stored) {
+    delta.Assign(std::span<const uint8_t>(stored, kPageSize));
+    delta.XorWith(page);
+    std::memcpy(stored, page.data(), kPageSize);
+  }));
+  return delta;
+}
+
+Status MemoryServer::XorMerge(uint64_t slot, std::span<const uint8_t> delta) {
+  return ReadModifyWrite(slot, delta,
+                         [&](uint8_t* stored) { XorBytes(stored, delta.data(), kPageSize); });
 }
 
 Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
@@ -959,117 +958,6 @@ Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
   return out;
 }
 
-Status MemoryServer::StoreBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages,
-                                uint64_t* stored_out) {
-  if (pages.size() != slots.size() * kPageSize) {
-    if (stored_out != nullptr) {
-      *stored_out = 0;
-    }
-    return InvalidArgumentError("batch pages must be slots.size() * kPageSize bytes");
-  }
-  uint64_t stored = 0;
-  Status status = OkStatus();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    status = Store(slots[i], pages.subspan(i * kPageSize, kPageSize));
-    if (!status.ok()) {
-      break;
-    }
-    ++stored;
-  }
-  if (stored_out != nullptr) {
-    *stored_out = stored;
-  }
-  return status;
-}
-
-Status MemoryServer::LoadBatch(std::span<const uint64_t> slots, std::vector<uint8_t>* out) const {
-  out->reserve(out->size() + slots.size() * kPageSize);
-  for (const uint64_t slot : slots) {
-    auto page = Load(slot);
-    if (!page.ok()) {
-      return page.status();
-    }
-    out->insert(out->end(), page->span().begin(), page->span().end());
-  }
-  return OkStatus();
-}
-
-Result<PageBuffer> MemoryServer::DeltaStore(uint64_t slot, std::span<const uint8_t> page) {
-  if (crashed()) {
-    return UnavailableError(params_.name + " crashed");
-  }
-  if (slot >= next_slot_.load(std::memory_order_acquire)) {
-    return InvalidArgumentError("slot " + std::to_string(slot) + " was never allocated");
-  }
-  if (page.size() != kPageSize) {
-    return InvalidArgumentError("page must be exactly kPageSize bytes");
-  }
-  Shard& shard = ShardFor(slot);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (crashed()) {
-    return UnavailableError(params_.name + " crashed");
-  }
-  auto [it, inserted] = shard.pages.try_emplace(slot);
-  uint32_t frame;
-  if (inserted) {
-    frame = TakeFrameLocked(&shard);
-    // Recycled frames carry stale bytes; an absent slot must read as zeroes.
-    std::memset(FramePtr(shard, frame), 0, kPageSize);
-    MakeHotLocked(&shard, slot, &it->second, frame);
-  } else {
-    auto hot = MaterializeHotLocked(&shard, slot, &it->second);
-    if (!hot.ok()) {
-      return hot.status();
-    }
-    frame = *hot;
-    it->second.clock = 1;
-  }
-  uint8_t* stored = FramePtr(shard, frame);
-  PageBuffer delta(std::span<const uint8_t>(stored, kPageSize));
-  delta.XorWith(page);
-  std::memcpy(stored, page.data(), kPageSize);
-  MaybeDemoteLocked(&shard);
-  stats_.pageouts_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_stored.fetch_add(page.size(), std::memory_order_relaxed);
-  return delta;
-}
-
-Status MemoryServer::XorMerge(uint64_t slot, std::span<const uint8_t> delta) {
-  if (crashed()) {
-    return UnavailableError(params_.name + " crashed");
-  }
-  if (slot >= next_slot_.load(std::memory_order_acquire)) {
-    return InvalidArgumentError("slot " + std::to_string(slot) + " was never allocated");
-  }
-  if (delta.size() != kPageSize) {
-    return InvalidArgumentError("delta must be exactly kPageSize bytes");
-  }
-  Shard& shard = ShardFor(slot);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (crashed()) {
-    return UnavailableError(params_.name + " crashed");
-  }
-  auto [it, inserted] = shard.pages.try_emplace(slot);
-  uint32_t frame;
-  if (inserted) {
-    frame = TakeFrameLocked(&shard);
-    std::memset(FramePtr(shard, frame), 0, kPageSize);
-    MakeHotLocked(&shard, slot, &it->second, frame);
-  } else {
-    auto hot = MaterializeHotLocked(&shard, slot, &it->second);
-    if (!hot.ok()) {
-      return hot.status();
-    }
-    frame = *hot;
-    it->second.clock = 1;
-  }
-  XorBytes(FramePtr(shard, frame), delta.data(), kPageSize);
-  MaybeDemoteLocked(&shard);
-  stats_.pageouts_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_stored.fetch_add(delta.size(), std::memory_order_relaxed);
-  return OkStatus();
-}
-
 bool MemoryServer::Holds(uint64_t slot) const {
   if (crashed()) {
     return false;
@@ -1077,18 +965,6 @@ bool MemoryServer::Holds(uint64_t slot) const {
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mutex);
   return shard.pages.count(slot) > 0;
-}
-
-std::vector<uint64_t> MemoryServer::LiveSlots() const {
-  std::vector<uint64_t> slots;
-  for (uint32_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mutex);
-    for (const auto& [slot, ref] : shards_[i].pages) {
-      slots.push_back(slot);
-    }
-  }
-  std::sort(slots.begin(), slots.end());
-  return slots;
 }
 
 void MemoryServer::Crash() {
@@ -1148,11 +1024,6 @@ void MemoryServer::Restart() {
   crashed_.store(false, std::memory_order_release);
   events_.Append(EventKind::kRestart, params_.name,
                  "incarnation=" + std::to_string(incarnation()));
-}
-
-std::vector<uint8_t> MemoryServer::map_bytes() const {
-  std::lock_guard<std::mutex> lock(map_mutex_);
-  return map_bytes_;
 }
 
 void MemoryServer::ResetStats() {
@@ -1274,13 +1145,7 @@ bool MemoryServer::TenantShouldAdviseStop(uint16_t tenant) const {
          state.quota.advise_stop_fraction * static_cast<double>(state.quota.memory_quota_pages);
 }
 
-bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
-                               HistogramMetric** service_us_out) {
-  *service_us_out = nullptr;
-  const uint16_t tenant = request.tenant;
-  if (tenant == 0) {
-    return true;
-  }
+ErrorCode MemoryServer::AdmitTenant(const Message& request, HistogramMetric** service_us_out) {
   // Classify into a priority lane and a token cost. Lower lanes must leave a
   // slice of the bucket untouched, so when a tenant runs hot its background
   // and pageout traffic throttles first and pageins keep landing — the same
@@ -1312,10 +1177,9 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
       break;  // Control traffic (alloc, heartbeat, stats) is never rate-gated.
   }
   std::lock_guard<std::mutex> lock(tenant_mutex_);
-  TenantState* state = TenantStateLocked(tenant);
+  TenantState* state = TenantStateLocked(request.tenant);
   if (state == nullptr) {
-    *denial = MakeErrorReply(request.request_id, ErrorCode::kFailedPrecondition);
-    return false;
+    return ErrorCode::kFailedPrecondition;
   }
   state->ops->Increment();
   if (cost > 0 && state->quota.rate_pages_per_sec > 0) {
@@ -1324,24 +1188,25 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
     const uint64_t reserve = lane == 0 ? 0 : (lane == 1 ? burst / 8 : burst / 2);
     if (state->bucket.Available(now) < cost + reserve) {
       state->rate_denials->Increment();
-      *denial = RateLimitedReply(request);
-      return false;
+      return ErrorCode::kResourceExhausted;
     }
     state->bucket.TakeUpTo(cost, now);
   }
   *service_us_out = state->service_us;
-  return true;
+  return ErrorCode::kOk;
 }
 
 bool MemoryServer::CouldSleep(const Message& request) const {
-  if (params_.store_service_micros > 0 || disk_ != nullptr) {
-    return true;
-  }
+  return params_.store_service_micros > 0 || disk_ != nullptr || SlotDelayMicros(request.slot) > 0;
+}
+
+int64_t MemoryServer::SlotDelayMicros(uint64_t slot) const {
   if (!has_slot_delays_.load(std::memory_order_acquire)) {
-    return false;
+    return 0;
   }
   std::lock_guard<std::mutex> lock(control_mutex_);
-  return slot_delays_micros_.count(request.slot) > 0;
+  auto it = slot_delays_micros_.find(slot);
+  return it == slot_delays_micros_.end() ? 0 : it->second;
 }
 
 Message MemoryServer::Handle(const Message& request) {
@@ -1357,7 +1222,7 @@ Message MemoryServer::Handle(const Message& request) {
   // operations, tracing off — pay exactly one test and skip the timing.
   const uint32_t trace_id = request.trace_id;
   if (trace_id == 0) {
-    return HandleAdmitted(request);
+    return Serve(request);
   }
   // Traced request: time the handler wall-to-wall and let the store path
   // accumulate its share into the per-thread scratch; the transport worker
@@ -1369,7 +1234,7 @@ Message MemoryServer::Handle(const Message& request) {
   scratch.disk_ns = 0;
   scratch.active = true;
   const TimeNs t0 = NowNanos();
-  Message reply = HandleAdmitted(request);
+  Message reply = Serve(request);
   const TimeNs t1 = NowNanos();
   scratch.active = false;
   if (queue_ns > 0) {
@@ -1387,180 +1252,174 @@ Message MemoryServer::Handle(const Message& request) {
   return reply;
 }
 
-Message MemoryServer::HandleAdmitted(const Message& request) {
-  if (!tenant_enforced_) {
-    // Tenant policy off: the request takes exactly the pre-§15 path, whatever
-    // its tenant field says (attribution without enforcement costs nothing).
-    return HandleInternal(request);
-  }
-  Message denial;
+Message MemoryServer::Serve(const Message& request) {
+  const TimeNs t0 = tenant_enforced_ ? NowNanos() : 0;
   HistogramMetric* service_us = nullptr;
-  if (!AdmitTenant(request, &denial, &service_us)) {
-    denial.tenant = request.tenant;
-    events_.Append(EventKind::kTenantShed, params_.name,
-                   "tenant=" + std::to_string(request.tenant) + " op=" +
-                       std::string(MessageTypeName(request.type)) + " shed");
-    return denial;
+  Message reply;
+  if (Gate(request, &reply, &service_us)) {
+    reply = Dispatch(request);
   }
-  const auto t0 = SteadyClock::now();
-  Message reply = HandleInternal(request);
-  reply.tenant = request.tenant;  // Replies echo the tenant for attribution.
-  if (service_us != nullptr) {
-    service_us->Observe(MicrosSince(t0));
+  if (tenant_enforced_) {
+    reply.tenant = request.tenant;  // Replies echo the tenant for attribution.
+    if (service_us != nullptr) {
+      service_us->Observe(static_cast<double>(NowNanos() - t0) / 1e3);
+    }
   }
   return reply;
 }
 
-Message MemoryServer::HandleInternal(const Message& request) {
-  if (has_slot_delays_.load(std::memory_order_acquire)) {
-    int64_t delay_micros = 0;
-    {
-      std::lock_guard<std::mutex> lock(control_mutex_);
-      auto it = slot_delays_micros_.find(request.slot);
-      if (it != slot_delays_micros_.end()) {
-        delay_micros = it->second;
+bool MemoryServer::Gate(const Message& request, Message* denial,
+                        HistogramMetric** service_us) {
+  if (tenant_enforced_ && request.tenant != 0) {
+    const ErrorCode admitted = AdmitTenant(request, service_us);
+    if (admitted != ErrorCode::kOk) {
+      events_.Append(EventKind::kTenantShed, params_.name,
+                     "tenant=" + std::to_string(request.tenant) + " op=" +
+                         std::string(MessageTypeName(request.type)) + " shed");
+      if (admitted == ErrorCode::kFailedPrecondition) {
+        // An unknown tenant under strict policy: the catch-all error reply.
+        *denial = MakeErrorReply(request.request_id, admitted);
+        return false;
       }
+      // A rate denial keeps the op's shape. Pageout-shaped ones carry
+      // ADVISE_STOP: an over-rate tenant should back off exactly like one
+      // paging against a full server.
+      *denial = ReplyFor(request, admitted);
+      if (denial->type == MessageType::kPageOutAck ||
+          denial->type == MessageType::kPageOutBatchAck) {
+        denial->flags = kFlagAdviseStop;
+      }
+      return false;
     }
-    if (delay_micros > 0) {
-      // Sleep outside any lock: a stalled slot must not stall the others.
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_micros));
-    }
+  }
+  if (const int64_t delay_micros = SlotDelayMicros(request.slot); delay_micros > 0) {
+    // Sleep outside any lock: a stalled slot must not stall the others.
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_micros));
   }
   // Epoch gate (DESIGN.md §16): a data op stamped with an epoch strictly
   // older than the map in force here was routed by a placement the cluster
   // has since abandoned — deny it before it can land a page on the wrong
   // owner. Epoch 0 (a client that adopted no map) passes: the gate only
-  // bites clients that opted into the map protocol.
+  // bites clients that opted into the map protocol. The denial carries the
+  // current epoch, so the client learns it before it even re-queries the
+  // map, and never ADVISE_STOP: the client is not overloading anyone.
   const uint64_t epoch_now = map_epoch_.load(std::memory_order_acquire);
   if (request.epoch != 0 && request.epoch < epoch_now && EpochGated(request.type)) {
     stats_.stale_epoch_rejections.fetch_add(1, std::memory_order_relaxed);
     events_.Append(EventKind::kStaleEpoch, params_.name,
                    "op=" + std::string(MessageTypeName(request.type)) + " stamped=" +
                        std::to_string(request.epoch) + " current=" + std::to_string(epoch_now));
-    return EpochStaleReply(request, epoch_now);
+    *denial = ReplyFor(request, ErrorCode::kStaleEpoch);
+    denial->epoch = epoch_now;
+    return false;
   }
+  // A cross-tenant op must not even read the page, let alone change it.
+  if (OwnerGated(request.type)) {
+    const Status owner = CheckSlotOwner(request.slot, request.tenant);
+    if (!owner.ok()) {
+      *denial = ReplyFor(request, owner.code());
+      return false;
+    }
+  }
+  return true;
+}
+
+Message MemoryServer::ServeBatch(const Message& request) {
+  auto count = ValidateBatch(request);
+  if (!count.ok()) {
+    return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
+  }
+  stats_.batch_requests.fetch_add(1, std::memory_order_relaxed);
+  const bool pageout = request.type == MessageType::kPageOutBatch;
+  std::vector<uint8_t> pages;
+  if (!pageout) {
+    pages.reserve(*count * kPageSize);
+  }
+  uint64_t served = 0;
+  Status status = OkStatus();
+  for (; served < *count; ++served) {
+    const uint64_t slot = BatchSlot(request, served);
+    status = CheckSlotOwner(slot, request.tenant);
+    if (status.ok() && pageout) {
+      status = Store(slot, BatchPage(request, served));
+    } else if (status.ok()) {
+      auto page = Load(slot);
+      status = page.status();
+      if (page.ok()) {
+        pages.insert(pages.end(), page->span().begin(), page->span().end());
+      }
+    }
+    if (!status.ok()) {
+      break;
+    }
+  }
+  Message reply = ReplyFor(request, status.code());
+  if (!status.ok()) {
+    reply.aux = served;  // Index of the first failing entry.
+  }
+  if (pageout) {
+    reply.count = served;
+    if (status.ok() && (ShouldAdviseStop() || TenantShouldAdviseStop(request.tenant))) {
+      reply.flags = kFlagAdviseStop;
+    }
+  } else if (status.ok()) {
+    reply.count = served;
+    reply.payload = std::move(pages);
+  }
+  return reply;
+}
+
+Message MemoryServer::Dispatch(const Message& request) {
   switch (request.type) {
     case MessageType::kAllocRequest: {
       auto slot = Allocate(request.count, request.tenant);
-      if (!slot.ok()) {
-        Message reply = MakeAllocReply(request.request_id, 0, slot.status().code());
-        return reply;
+      Message reply = ReplyFor(request, slot.status().code());
+      if (slot.ok()) {
+        reply.slot = *slot;
+        reply.count = request.count;
       }
-      Message reply = MakeAllocReply(request.request_id, request.count, ErrorCode::kOk);
-      reply.slot = *slot;
       return reply;
     }
-    case MessageType::kFreeRequest: {
-      const Status status = Free(request.slot, request.count, request.tenant);
-      Message reply;
-      reply.type = MessageType::kFreeReply;
-      reply.request_id = request.request_id;
-      reply.slot = request.slot;
-      reply.status = static_cast<uint32_t>(status.code());
-      return reply;
-    }
+    case MessageType::kFreeRequest:
+      return ReplyFor(request, Free(request.slot, request.count, request.tenant).code());
     case MessageType::kPageOut: {
-      const Status owner = CheckSlotOwner(request.slot, request.tenant);
-      if (!owner.ok()) {
-        return MakePageOutAck(request.request_id, request.slot, owner.code(), false);
-      }
       const Status status = Store(request.slot, std::span<const uint8_t>(request.payload));
+      Message reply = ReplyFor(request, status.code());
       // Per-tenant backpressure rides the same bit: a tenant near its own
       // quota sees ADVISE_STOP even when the server as a whole has room.
-      return MakePageOutAck(
-          request.request_id, request.slot, status.code(),
-          status.ok() && (ShouldAdviseStop() || TenantShouldAdviseStop(request.tenant)));
-    }
-    case MessageType::kPageIn: {
-      const Status owner = CheckSlotOwner(request.slot, request.tenant);
-      if (!owner.ok()) {
-        return MakePageInReply(request.request_id, request.slot, {}, owner.code());
+      if (status.ok() && (ShouldAdviseStop() || TenantShouldAdviseStop(request.tenant))) {
+        reply.flags = kFlagAdviseStop;
       }
+      return reply;
+    }
+    case MessageType::kPageIn:
+      return PageReply(request, Load(request.slot));
+    case MessageType::kPageOutBatch:
+    case MessageType::kPageInBatch:
+      return ServeBatch(request);
+    case MessageType::kDeltaPageOut:
+      return PageReply(request, DeltaStore(request.slot, std::span<const uint8_t>(request.payload)));
+    case MessageType::kXorMerge:
+      return ReplyFor(request,
+                      XorMerge(request.slot, std::span<const uint8_t>(request.payload)).code());
+    case MessageType::kMigrate: {
+      // MIGRATE returns the page and frees its slot in one operation (the
+      // read half of the §2.1 drain path). Load counts the pagein; the free
+      // makes the drained server's donated memory reusable at once.
       auto page = Load(request.slot);
-      if (!page.ok()) {
-        return MakePageInReply(request.request_id, request.slot, {}, page.status().code());
-      }
-      return MakePageInReply(request.request_id, request.slot, page->span(), ErrorCode::kOk);
-    }
-    case MessageType::kPageOutBatch: {
-      auto count = ValidateBatch(request);
-      if (!count.ok()) {
-        return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
-      }
-      stats_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-      uint64_t stored = 0;
-      Status status = OkStatus();
-      for (size_t i = 0; i < *count; ++i) {
-        status = CheckSlotOwner(BatchSlot(request, i), request.tenant);
-        if (status.ok()) {
-          status = Store(BatchSlot(request, i), BatchPage(request, i));
+      if (page.ok()) {
+        const Status freed = Free(request.slot, 1, request.tenant);
+        if (!freed.ok()) {
+          return ReplyFor(request, freed.code());
         }
-        if (!status.ok()) {
-          break;
-        }
-        ++stored;
+        stats_.migrations_served.fetch_add(1, std::memory_order_relaxed);
       }
-      Message ack = MakePageOutBatchAck(
-          request.request_id, stored, status.code(),
-          status.ok() && (ShouldAdviseStop() || TenantShouldAdviseStop(request.tenant)));
-      if (!status.ok()) {
-        ack.aux = stored;  // Index of the first failing entry.
-      }
-      return ack;
-    }
-    case MessageType::kPageInBatch: {
-      auto count = ValidateBatch(request);
-      if (!count.ok()) {
-        return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
-      }
-      stats_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-      std::vector<uint8_t> pages;
-      pages.reserve(*count * kPageSize);
-      for (size_t i = 0; i < *count; ++i) {
-        const Status owner = CheckSlotOwner(BatchSlot(request, i), request.tenant);
-        if (!owner.ok()) {
-          Message reply = MakePageInBatchReply(request.request_id, {}, owner.code());
-          reply.aux = i;
-          return reply;
-        }
-        auto page = Load(BatchSlot(request, i));
-        if (!page.ok()) {
-          Message reply = MakePageInBatchReply(request.request_id, {}, page.status().code());
-          reply.aux = i;  // Index of the failing entry.
-          return reply;
-        }
-        pages.insert(pages.end(), page->span().begin(), page->span().end());
-      }
-      return MakePageInBatchReply(request.request_id, pages, ErrorCode::kOk);
+      return PageReply(request, page);
     }
     case MessageType::kLoadQuery: {
       std::lock_guard<std::mutex> lock(control_mutex_);
       return MakeLoadReport(request.request_id, FreePagesLocked(), EffectiveCapacityLocked(),
                             AdviseStopLocked());
-    }
-    case MessageType::kDeltaPageOut: {
-      const Status owner = CheckSlotOwner(request.slot, request.tenant);
-      if (!owner.ok()) {
-        return MakePageInReply(request.request_id, request.slot, {}, owner.code());
-      }
-      auto delta = DeltaStore(request.slot, std::span<const uint8_t>(request.payload));
-      if (!delta.ok()) {
-        return MakePageInReply(request.request_id, request.slot, {}, delta.status().code());
-      }
-      // The delta travels back in a PAGEIN_REPLY-shaped message.
-      return MakePageInReply(request.request_id, request.slot, delta->span(), ErrorCode::kOk);
-    }
-    case MessageType::kXorMerge: {
-      Status status = CheckSlotOwner(request.slot, request.tenant);
-      if (status.ok()) {
-        status = XorMerge(request.slot, std::span<const uint8_t>(request.payload));
-      }
-      Message reply;
-      reply.type = MessageType::kXorMergeAck;
-      reply.request_id = request.request_id;
-      reply.slot = request.slot;
-      reply.status = static_cast<uint32_t>(status.code());
-      return reply;
     }
     case MessageType::kHeartbeat: {
       if (crashed()) {
@@ -1572,13 +1431,6 @@ Message MemoryServer::HandleInternal(const Message& request) {
       std::lock_guard<std::mutex> lock(control_mutex_);
       return MakeHeartbeatAck(request.request_id, incarnation(), FreePagesLocked(),
                               EffectiveCapacityLocked(), AdviseStopLocked());
-    }
-    case MessageType::kMigrate: {
-      auto page = MigrateOut(request.slot, request.tenant);
-      if (!page.ok()) {
-        return MakeMigrateReply(request.request_id, request.slot, {}, page.status().code());
-      }
-      return MakeMigrateReply(request.request_id, request.slot, page->span(), ErrorCode::kOk);
     }
     case MessageType::kStatsQuery: {
       if (crashed()) {
@@ -1645,12 +1497,8 @@ Message MemoryServer::HandleInternal(const Message& request) {
                      "adopted map epoch=" + std::to_string(map->epoch()));
       return MakeMapPublishAck(request.request_id, map->epoch(), ErrorCode::kOk);
     }
-    case MessageType::kShutdown: {
-      Message reply;
-      reply.type = MessageType::kFreeReply;
-      reply.request_id = request.request_id;
-      return reply;
-    }
+    case MessageType::kShutdown:
+      return ReplyFor(request, ErrorCode::kOk);
     default:
       return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
   }

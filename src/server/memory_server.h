@@ -235,29 +235,13 @@ class MemoryServer : public MessageHandler {
   Message Handle(const Message& request) override;
 
   // Direct API (same semantics as the wire protocol; used by tests and by
-  // the recovery manager, which reads surviving servers' pages). The tenant
-  // overloads charge occupancy to a quota row; tenant 0 is the legacy lane
+  // the recovery manager, which reads surviving servers' pages). A nonzero
+  // `tenant` charges occupancy to a quota row; tenant 0 is the legacy lane
   // (unquota'd, may touch any slot) so the untenanted callers keep working.
-  Result<uint64_t> Allocate(uint64_t pages) { return Allocate(pages, 0); }
-  Result<uint64_t> Allocate(uint64_t pages, uint16_t tenant);  // First slot of a fresh run.
-  Status Free(uint64_t first_slot, uint64_t pages) { return Free(first_slot, pages, 0); }
-  Status Free(uint64_t first_slot, uint64_t pages, uint16_t tenant);
+  Result<uint64_t> Allocate(uint64_t pages, uint16_t tenant = 0);  // First slot of a fresh run.
+  Status Free(uint64_t first_slot, uint64_t pages, uint16_t tenant = 0);
   Status Store(uint64_t slot, std::span<const uint8_t> page);
   Result<PageBuffer> Load(uint64_t slot) const;
-
-  // Vectored forms. StoreBatch writes slots.size() pages (`pages` is their
-  // concatenation), stopping at the first failure; *stored_out is the count
-  // stored, which on error is also the failing index. LoadBatch appends
-  // kPageSize bytes per slot to *out in request order, stopping at the first
-  // failure (pages already appended stay in *out).
-  Status StoreBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages,
-                    uint64_t* stored_out);
-  Status LoadBatch(std::span<const uint64_t> slots, std::vector<uint8_t>* out) const;
-
-  // MIGRATE: returns the page at `slot` and frees the slot in one operation
-  // (the read half of the §2.1 drain path, one round trip on the wire).
-  Result<PageBuffer> MigrateOut(uint64_t slot) { return MigrateOut(slot, 0); }
-  Result<PageBuffer> MigrateOut(uint64_t slot, uint16_t tenant);
 
   // Basic-parity primitives (§2.2 "Parity"): the data server computes
   // old XOR new while storing, the parity server folds a delta into the
@@ -266,9 +250,6 @@ class MemoryServer : public MessageHandler {
   Status XorMerge(uint64_t slot, std::span<const uint8_t> delta);
 
   bool Holds(uint64_t slot) const;
-
-  // All live slots, sorted (recovery enumerates a crashed server's peers).
-  std::vector<uint64_t> LiveSlots() const;
 
   // Fault / load injection.
   void Crash();
@@ -317,13 +298,10 @@ class MemoryServer : public MessageHandler {
   // stamped with an older epoch (Message::epoch) are denied with STALE_EPOCH so
   // a stale client refreshes before it writes to the wrong owner.
   uint64_t map_epoch() const { return map_epoch_.load(std::memory_order_acquire); }
-  // The serialized map last accepted over MAP_PUBLISH (empty when none).
-  std::vector<uint8_t> map_bytes() const;
 
   uint32_t shard_count() const { return shard_count_; }
   const MemoryServerStats& stats() const { return stats_; }
   const std::string& name() const { return params_.name; }
-  bool tier_enabled() const { return params_.tier.hot_page_limit > 0; }
 
   // --- Live introspection (DESIGN.md §12) ---------------------------------
   // The registry behind stats(), plus occupancy gauges refreshed on demand.
@@ -441,6 +419,17 @@ class MemoryServer : public MessageHandler {
   // returns the frame index. The slot must exist.
   Result<uint32_t> MaterializeHotLocked(Shard* shard, uint64_t slot, SlotRef* ref) const;
 
+  // The prelude every page write shares: store-span timing, crash check,
+  // never-allocated bound, size check, shard lock, crash recheck. Runs
+  // `body(shard, ref, inserted)` under the shard lock on the slot's entry
+  // (`inserted` when it was absent) and counts the pageout if it succeeds.
+  template <typename Body>
+  Status Write(uint64_t slot, std::span<const uint8_t> page, Body&& body);
+  // A Write that hands `modify` the slot's bytes in a hot frame, to change in
+  // place (DELTA_PAGEOUT, XOR_MERGE). An absent slot reads as all-zeroes.
+  template <typename Modify>
+  Status ReadModifyWrite(uint64_t slot, std::span<const uint8_t> page, Modify&& modify);
+
   uint64_t EffectiveCapacityLocked() const;
   uint64_t FreePagesLocked() const;
   bool AdviseStopLocked() const;
@@ -471,19 +460,30 @@ class MemoryServer : public MessageHandler {
   // DiskStore behind the cold tier. Such requests decline inline service on
   // a transport loop thread (InlineService, transport.h).
   bool CouldSleep(const Message& request) const;
-  // The untenanted dispatch switch; Handle wraps it with tenant admission.
-  Message HandleInternal(const Message& request);
-  // Tenant admission + dispatch (the whole pre-§17 Handle). Handle itself is
-  // now only the trace shim: untraced requests fall straight through here.
-  Message HandleAdmitted(const Message& request);
-  // Rate-limit + attribution gate run before dispatch. Returns false and
-  // fills *denial when the op must be rejected; on admit, *service_us_out
-  // points at the tenant's latency histogram (null for tenant 0).
-  bool AdmitTenant(const Message& request, Message* denial,
-                   HistogramMetric** service_us_out);
+  // The SetSlotDelayForTest delay on `slot`; 0 when none is set.
+  int64_t SlotDelayMicros(uint64_t slot) const;
+
+  // The request path under Handle's trace shim: Serve runs Gate, then
+  // Dispatch, and echoes the tenant when tenant policy is on.
+  Message Serve(const Message& request);
+  // Every check a request passes before dispatch, in order: tenant
+  // admission, the slot-delay test hook, the epoch gate, and the owner check
+  // of single-slot ops. Returns false with *denial set to refuse; on admit,
+  // *service_us points at the tenant's latency histogram (null for tenant 0).
+  bool Gate(const Message& request, Message* denial, HistogramMetric** service_us);
+  Message Dispatch(const Message& request);
+  // PAGEOUT_BATCH and PAGEIN_BATCH: the entries in order, each behind the
+  // owner check, stopping at the first failure (its index goes in aux).
+  Message ServeBatch(const Message& request);
+  // Rate limit and attribution for a nonzero tenant: kOk to admit,
+  // kFailedPrecondition for an unknown tenant under strict policy, or
+  // kResourceExhausted when its token bucket is dry.
+  ErrorCode AdmitTenant(const Message& request, HistogramMetric** service_us_out);
   // Ownership check for data ops: a nonzero tenant may only touch slots in
-  // runs it allocated. Tenant 0 (legacy/recovery) may touch everything.
+  // runs it allocated, or legacy ones. Tenant 0 (legacy/recovery) may touch
+  // everything. CheckOwnerLocked covers a range, with control_mutex_ held.
   Status CheckSlotOwner(uint64_t slot, uint16_t tenant) const;
+  Status CheckOwnerLocked(uint64_t first_slot, uint64_t pages, uint16_t tenant) const;
 
   MemoryServerParams params_;
   uint32_t shard_count_ = 1;

@@ -91,7 +91,7 @@ struct FaultRule {
   double probability = 0.0;
 
   // Only operations of this message type match; nullopt matches everything.
-  std::optional<MessageType> only_type;
+  std::optional<MessageType> only_type = std::nullopt;
 
   // How many times the rule may fire; negative = unlimited.
   int repeat = 1;

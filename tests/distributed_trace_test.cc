@@ -88,6 +88,30 @@ TEST(DistributedTraceTest, TracedRequestRecordsServerSpansUnderItsId) {
   EXPECT_TRUE(saw_service);
 }
 
+TEST(DistributedTraceTest, TracedWritesOfEveryKindRecordAStoreSpan) {
+  // PAGEOUT, DELTA_PAGEOUT and XOR_MERGE all land a page in the store, so
+  // each traced one reports its store time as an srv_store span.
+  MemoryServer server;
+  const Message alloc = server.Handle(MakeAllocRequest(1, 1));
+  ASSERT_EQ(alloc.status_code(), ErrorCode::kOk);
+  PageBuffer page;
+  FillPattern(page.span(), 8);
+  uint32_t trace_id = 80;
+  for (const MessageType op :
+       {MessageType::kPageOut, MessageType::kDeltaPageOut, MessageType::kXorMerge}) {
+    SCOPED_TRACE(MessageTypeName(op));
+    Message request = MakePageOut(++trace_id, alloc.slot, page.span());
+    request.type = op;
+    request.trace_id = trace_id;
+    ASSERT_EQ(server.Handle(request).status_code(), ErrorCode::kOk);
+    const std::vector<ServerSpan> spans = server.span_ring().Drain();
+    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [&](const ServerSpan& span) {
+      return span.trace_id == trace_id && span.stage == TraceStage::kServerStore &&
+             span.duration > 0;
+    }));
+  }
+}
+
 // --- Head sampling ----------------------------------------------------------
 
 TEST(DistributedTraceTest, SamplingZeroLeavesEverythingCold) {
