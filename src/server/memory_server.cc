@@ -1,6 +1,7 @@
 #include "src/server/memory_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -914,6 +915,24 @@ Status MemoryServer::XorMerge(uint64_t slot, std::span<const uint8_t> delta) {
 }
 
 Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
+  PageBuffer out;
+  RMP_RETURN_IF_ERROR(LoadInto(slot, out.span()));
+  return out;
+}
+
+Message MemoryServer::LoadReply(const Message& request) const {
+  Message reply = ReplyFor(request, ErrorCode::kOk);
+  reply.payload.resize(kPageSize);
+  const Status status = LoadInto(request.slot, std::span<uint8_t>(reply.payload));
+  if (!status.ok()) {
+    reply.status = static_cast<uint32_t>(status.code());
+    reply.payload.clear();
+  }
+  return reply;
+}
+
+Status MemoryServer::LoadInto(uint64_t slot, std::span<uint8_t> out) const {
+  assert(out.size() == kPageSize);
   ScratchTimer store_timer(&ServerTraceScratch::store_ns);
   if (crashed()) {
     return UnavailableError(params_.name + " crashed");
@@ -931,13 +950,13 @@ Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
     std::this_thread::sleep_for(std::chrono::microseconds(params_.store_service_micros));
   }
   SlotRef& ref = it->second;
-  PageBuffer out;  // Zero-filled: the kZero tier returns it as-is.
   switch (ref.tier) {
     case SlotRef::Tier::kHot:
       ref.clock = 1;
-      out.Assign(std::span<const uint8_t>(FramePtr(shard, ref.ref), kPageSize));
+      std::memcpy(out.data(), FramePtr(shard, ref.ref), kPageSize);
       break;
     case SlotRef::Tier::kZero:
+      std::memset(out.data(), 0, kPageSize);
       break;
     case SlotRef::Tier::kCold: {
       RMP_RETURN_IF_ERROR(ReadColdLocked(&shard, ref.ref, out.data()));
@@ -955,7 +974,7 @@ Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
   }
   stats_.pageins_served.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_returned.fetch_add(kPageSize, std::memory_order_relaxed);
-  return out;
+  return OkStatus();
 }
 
 bool MemoryServer::Holds(uint64_t slot) const {
@@ -1343,11 +1362,8 @@ Message MemoryServer::ServeBatch(const Message& request) {
     if (status.ok() && pageout) {
       status = Store(slot, BatchPage(request, served));
     } else if (status.ok()) {
-      auto page = Load(slot);
-      status = page.status();
-      if (page.ok()) {
-        pages.insert(pages.end(), page->span().begin(), page->span().end());
-      }
+      pages.resize(pages.size() + kPageSize);
+      status = LoadInto(slot, std::span<uint8_t>(pages).last(kPageSize));
     }
     if (!status.ok()) {
       break;
@@ -1393,7 +1409,7 @@ Message MemoryServer::Dispatch(const Message& request) {
       return reply;
     }
     case MessageType::kPageIn:
-      return PageReply(request, Load(request.slot));
+      return LoadReply(request);
     case MessageType::kPageOutBatch:
     case MessageType::kPageInBatch:
       return ServeBatch(request);
@@ -1404,17 +1420,17 @@ Message MemoryServer::Dispatch(const Message& request) {
                       XorMerge(request.slot, std::span<const uint8_t>(request.payload)).code());
     case MessageType::kMigrate: {
       // MIGRATE returns the page and frees its slot in one operation (the
-      // read half of the §2.1 drain path). Load counts the pagein; the free
+      // read half of the §2.1 drain path). LoadInto counts the pagein; the free
       // makes the drained server's donated memory reusable at once.
-      auto page = Load(request.slot);
-      if (page.ok()) {
+      Message reply = LoadReply(request);
+      if (reply.status_code() == ErrorCode::kOk) {
         const Status freed = Free(request.slot, 1, request.tenant);
         if (!freed.ok()) {
           return ReplyFor(request, freed.code());
         }
         stats_.migrations_served.fetch_add(1, std::memory_order_relaxed);
       }
-      return PageReply(request, page);
+      return reply;
     }
     case MessageType::kLoadQuery: {
       std::lock_guard<std::mutex> lock(control_mutex_);

@@ -415,6 +415,12 @@ class MemoryServer : public MessageHandler {
   void MaybeSpillLocked(Shard* shard) const;
   // Promotes a cold slot back into a hot frame holding `page` bytes.
   void PromoteLocked(Shard* shard, uint64_t slot, SlotRef* ref, const uint8_t* page) const;
+  // Load's body: writes the slot's page into `out` (kPageSize bytes), so a
+  // reply's payload is filled straight from the frame or cold entry.
+  Status LoadInto(uint64_t slot, std::span<uint8_t> out) const;
+  // The PAGEIN or MIGRATE reply for `request.slot`: ReplyFor with the loaded
+  // page as its payload, or with the load's status and no payload.
+  Message LoadReply(const Message& request) const;
   // Ensures the slot's bytes sit in a hot frame (for read-modify-write ops);
   // returns the frame index. The slot must exist.
   Result<uint32_t> MaterializeHotLocked(Shard* shard, uint64_t slot, SlotRef* ref) const;

@@ -28,6 +28,7 @@ struct TransportMetrics {
   Counter& frames_sent;
   Counter& frames_received;
   Counter& connection_failures;
+  Counter& unmatched_replies;  // Replies whose request_id no caller waits on.
   Gauge& send_queue_depth;
   Gauge& inflight_rpcs;
 };
@@ -37,6 +38,7 @@ TransportMetrics& TcpMetrics() {
       *MetricsRegistry::Global().GetCounter("tcp.frames_sent"),
       *MetricsRegistry::Global().GetCounter("tcp.frames_received"),
       *MetricsRegistry::Global().GetCounter("tcp.connection_failures"),
+      *MetricsRegistry::Global().GetCounter("tcp.unmatched_replies"),
       *MetricsRegistry::Global().GetGauge("tcp.send_queue_depth"),
       *MetricsRegistry::Global().GetGauge("tcp.inflight_rpcs"),
   };
@@ -230,6 +232,7 @@ class TcpTransport::Demux final : public FrameSink {
     if (state != nullptr) {
       TcpTransport::CompleteFuture(state, std::move(frame));
     } else {
+      TcpMetrics().unmatched_replies.Increment();
       RMP_LOG(kWarning) << "dropping unmatched reply for request_id " << frame.request_id;
     }
   }

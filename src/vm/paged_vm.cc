@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace rmp {
 
@@ -26,9 +27,9 @@ void PagedVm::SetAccessObserver(AccessObserver observer) {
 }
 
 void PagedVm::ReplayOrder() {
-  if (order_stale_) {
-    policy_->OnAccess(cache_[0].frame);
-    order_stale_ = false;
+  if (mru_ != policy_mru_) {
+    policy_->OnAccess(cache_[mru_].frame);
+    policy_mru_ = mru_;
   }
 }
 
@@ -109,11 +110,14 @@ Result<uint32_t> PagedVm::Translate(TimeNs* now, uint64_t vpage, bool write) {
     frames_[frame].dirty = true;
   }
   if (!observer_) {
-    // The previous entry 0 is now second in the policy's order.
-    if (vpage != cache_[0].vpage) {
-      cache_[1] = cache_[0];
+    // A new page replaces the older entry; the previous most recent one is
+    // now second in the policy's order.
+    if (vpage != cache_[mru_].vpage) {
+      mru_ ^= 1;
     }
-    cache_[0] = {vpage, frame};
+    policy_mru_ = mru_;
+    Frame& slot = frames_[frame];
+    cache_[mru_] = {vpage, slot.data.data(), &slot.dirty, frame};
   }
   return frame;
 }

@@ -10,16 +10,24 @@
 // real VM.
 //
 // Translation is a flat page table (vpage -> frame) plus a two-entry cache of
-// the last two translations, which stands in for the MMU's TLB. A Read or
-// Write whose span lies inside a cached page is served inline: it counts the
-// access and the hit, marks the frame dirty on a write and copies. A hit on
-// entry 0 (the most recent) changes no policy state. A hit on entry 1 swaps
-// the entries and flips `order_stale_`; before the policy is next consulted
-// (any Translate, hence any fault, InvalidateAll or SetAccessObserver), a
-// stale order is replayed as one OnAccess(entry 0). That keeps every policy
-// exact: between two slow-path calls only the two cached pages are
-// referenced, and both already sit at the front of the LRU list, so the one
-// reorder owed is "the more recent of the pair goes to the front"; under
+// the last two translations, which stands in for the MMU's TLB. Each entry
+// carries its frame's byte pointer and dirty-flag pointer (`frames_` is sized
+// once and never moves), so a Read or Write whose span lies inside a cached
+// page is served inline without touching `frames_`: it records which entry
+// hit in `mru_`, bumps one counter (`cached_hits_`), sets the dirty flag on a
+// write and copies. `stats()` folds that counter into both `accesses` and
+// `hits`, so the stats are exact at every read. Entries never move on a hit:
+// a swap of two entries made GCC copy them in misaligned pieces, and the next
+// hit's loads stalled on store forwarding. VmArray forces its Get and Set
+// inline (vm_array.h), so this hit path runs inside a kernel's own loop.
+//
+// A hit changes no policy state. The policy was last told of entry
+// `policy_mru_`; when `mru_` differs, the policy owes one reorder, replayed
+// as OnAccess(entry mru_) before the policy is next consulted (any
+// Translate, hence any fault, InvalidateAll or SetAccessObserver). That keeps
+// every policy exact: between two slow-path calls only the two cached pages
+// are referenced, and both already sit at the front of the LRU list, so the
+// one reorder owed is "the more recent of the pair goes to the front"; under
 // CLOCK both reference bits are already set, and only a sweep inside a fault
 // clears one; FIFO ignores references. Every fault clears both entries (the
 // victim may be one of them). Neither entry is filled while an observer is
@@ -37,7 +45,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/core/paging_backend.h"
@@ -100,7 +107,13 @@ class PagedVm {
   using AccessObserver = std::function<void(uint64_t vpage, bool write)>;
   void SetAccessObserver(AccessObserver observer);
 
-  const VmStats& stats() const { return stats_; }
+  // Folds the inline hits counted since the last read into the stats.
+  const VmStats& stats() const {
+    stats_.accesses += cached_hits_;
+    stats_.hits += cached_hits_;
+    cached_hits_ = 0;
+    return stats_;
+  }
   uint64_t resident_pages() const { return params_.physical_frames - free_frames_.size(); }
   uint32_t physical_frames() const { return params_.physical_frames; }
   uint64_t virtual_pages() const { return params_.virtual_pages; }
@@ -122,34 +135,39 @@ class PagedVm {
   static constexpr uint32_t kNoFrame = UINT32_MAX;
   static constexpr uint64_t kNoPage = UINT64_MAX;
 
+  // `bytes` and `dirty` point into frames_[frame]; every fault clears both
+  // entries, so they never outlive the page's residency.
   struct CacheEntry {
     uint64_t vpage = kNoPage;
+    uint8_t* bytes = nullptr;
+    bool* dirty = nullptr;
     uint32_t frame = kNoFrame;
   };
 
   // When [addr, addr + size) is non-empty and inside a cached page, counts a
-  // hit on it, makes it entry 0 and returns the frame bytes at `addr`;
-  // otherwise nullptr.
+  // hit on it, makes it the most recent entry and returns the frame bytes at
+  // `addr`; otherwise nullptr.
   uint8_t* CachedBytes(uint64_t addr, size_t size, bool write) {
     const uint64_t vpage = addr / kPageSize;
     const uint64_t in_page = addr % kPageSize;
     if (size == 0 || in_page + size > kPageSize) {
       return nullptr;
     }
-    if (vpage != cache_[0].vpage) {
-      if (vpage != cache_[1].vpage) {
-        return nullptr;
-      }
-      std::swap(cache_[0], cache_[1]);
-      order_stale_ = !order_stale_;
+    uint8_t hit;
+    if (vpage == cache_[0].vpage) {
+      hit = 0;
+    } else if (vpage == cache_[1].vpage) {
+      hit = 1;
+    } else {
+      return nullptr;
     }
-    ++stats_.accesses;
-    ++stats_.hits;
-    Frame& slot = frames_[cache_[0].frame];
+    mru_ = hit;
+    ++cached_hits_;
+    const CacheEntry& entry = cache_[hit];
     if (write) {
-      slot.dirty = true;
+      *entry.dirty = true;
     }
-    return slot.data.data() + in_page;
+    return entry.bytes + in_page;
   }
 
   // Tells the policy the reorder the cache owes it, if any. Translate,
@@ -178,10 +196,13 @@ class PagedVm {
   std::vector<uint32_t> free_frames_;
   std::vector<uint32_t> page_table_;  // vpage -> frame, or kNoFrame.
   std::vector<bool> ever_paged_out_;  // vpage -> backend holds it.
-  CacheEntry cache_[2];               // [0] is the most recent translation.
-  bool order_stale_ = false;          // The policy has [1] ahead of [0].
+  CacheEntry cache_[2];
+  uint8_t mru_ = 0;         // The entry of the most recent access.
+  uint8_t policy_mru_ = 0;  // The entry the policy last saw accessed.
   AccessObserver observer_;
-  VmStats stats_;
+  // Mutable so that stats() can fold cached_hits_ in.
+  mutable VmStats stats_;
+  mutable int64_t cached_hits_ = 0;  // Inline hits not yet in stats_.
 };
 
 }  // namespace rmp

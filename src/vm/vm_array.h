@@ -26,14 +26,20 @@ class VmArray {
   // Byte span this array occupies (for laying out several arrays).
   uint64_t end_offset() const { return base_ + count_ * sizeof(T); }
 
-  Result<T> Get(TimeNs* now, uint64_t index) const {
+  // Get and Set are forced inline. Left to its heuristics, GCC -O2 calls Get
+  // out of line from the larger kernels (27 calls in a RelWithDebInfo
+  // librmp_workloads.a, 7 of them in QuicksortVm), and every call returns a
+  // 56-byte Result through the stack to be checked and destroyed there.
+  // Inlined, a translation-cache hit is a few instructions inside the
+  // kernel's loop (EXPERIMENTS.md "VM hit path, part 3").
+  [[gnu::always_inline]] Result<T> Get(TimeNs* now, uint64_t index) const {
     T value{};
     auto span = std::span<uint8_t>(reinterpret_cast<uint8_t*>(&value), sizeof(T));
     RMP_RETURN_IF_ERROR(vm_->Read(now, base_ + index * sizeof(T), span));
     return value;
   }
 
-  Status Set(TimeNs* now, uint64_t index, const T& value) {
+  [[gnu::always_inline]] Status Set(TimeNs* now, uint64_t index, const T& value) {
     auto span = std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&value), sizeof(T));
     return vm_->Write(now, base_ + index * sizeof(T), span);
   }

@@ -151,7 +151,8 @@ class ClusterFixture : public ::testing::Test {
  protected:
   void AddServer(uint64_t capacity) {
     MemoryServerParams params;
-    params.name = "s" + std::to_string(servers_.size());
+    params.name = "s";
+    params.name += std::to_string(servers_.size());
     params.capacity_pages = capacity;
     servers_.push_back(std::make_unique<MemoryServer>(params));
     auto transport = std::make_unique<InProcTransport>(servers_.back().get());

@@ -827,5 +827,48 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "Frames";
     });
 
+// Inline hits bump one counter that stats() folds into `accesses` and `hits`.
+// Read after every access of a stream that mostly hits the translation cache,
+// the cached VM's stats must equal those of a twin whose observer keeps every
+// access on the counted slow path, and a second read must not count the
+// folded hits again.
+TEST(VmCacheTwinTest, StatsFoldInlineHitsAtEveryRead) {
+  constexpr uint64_t kPages = 8;
+  const PagedVm::AccessObserver no_op = [](uint64_t, bool) {};
+  RecordingBackend backend;
+  RecordingBackend twin_backend;
+  PagedVm vm(SmallVm(4, kPages), &backend);
+  PagedVm twin(SmallVm(4, kPages), &twin_backend);
+  twin.SetAccessObserver(no_op);
+  TimeNs now = 0;
+  TimeNs twin_now = 0;
+  Rng rng(29);
+  uint64_t page = 0;
+  uint64_t other = 1;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.Below(16) == 0) {  // Mostly alternate between two pages.
+      page = rng.Below(kPages);
+      other = rng.Below(kPages);
+    }
+    const uint64_t addr = (step % 2 == 0 ? page : other) * kPageSize + 8 * rng.Below(kPageSize / 8);
+    uint64_t value = rng.Next();
+    auto bytes = std::span<uint8_t>(reinterpret_cast<uint8_t*>(&value), sizeof(value));
+    if (rng.Below(3) == 0) {
+      ASSERT_TRUE(vm.Write(&now, addr, bytes).ok());
+      ASSERT_TRUE(twin.Write(&twin_now, addr, bytes).ok());
+    } else {
+      ASSERT_TRUE(vm.Read(&now, addr, bytes).ok());
+      ASSERT_TRUE(twin.Read(&twin_now, addr, bytes).ok());
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    ExpectSameStats(vm.stats(), twin.stats());
+    ExpectSameStats(vm.stats(), twin.stats());
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(vm.stats().hits, 2 * vm.stats().faults);
+}
+
 }  // namespace
 }  // namespace rmp

@@ -38,7 +38,8 @@ struct Rig {
     Cluster cluster;
     for (size_t i = 0; i < capacities.size(); ++i) {
       MemoryServerParams server_params;
-      server_params.name = "s" + std::to_string(i);
+      server_params.name = "s";
+      server_params.name += std::to_string(i);
       server_params.capacity_pages = capacities[i];
       servers.push_back(std::make_unique<MemoryServer>(server_params));
       cluster.AddPeer(server_params.name,

@@ -20,6 +20,7 @@
 
 #include "src/server/memory_server.h"
 #include "src/util/bytes.h"
+#include "src/util/metrics.h"
 #include "tests/wire_test_util.h"
 
 namespace rmp {
@@ -497,6 +498,33 @@ TEST(TcpRawPeerTest, CorruptReplyFailsTheBlockedWait) {
   EXPECT_NE(reply.status().message().find("CRC"), std::string::npos)
       << reply.status().ToString();
   EXPECT_FALSE((*client)->connected());
+}
+
+// A reply to an id no caller waits on is dropped and counted in
+// tcp.unmatched_replies; a call pending on the same connection still gets
+// its own reply.
+TEST(TcpRawPeerTest, UnmatchedReplyIsCountedAndDropped) {
+  const Counter& unmatched = *MetricsRegistry::Global().GetCounter("tcp.unmatched_replies");
+  const int64_t before = unmatched.value();
+  RawListener listener;
+  ASSERT_NE(listener.port(), 0);
+  auto client = TcpTransport::Connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.ok());
+  UniqueFd server = listener.Accept();
+  std::thread peer([&] {
+    auto request = ReadFrame(server.get());
+    ASSERT_TRUE(request.ok());
+    const uint64_t id = request->request_id;
+    ASSERT_TRUE(SendFrame(server.get(), MakeErrorReply(id + 1000, ErrorCode::kOk)).ok());
+    ASSERT_TRUE(SendFrame(server.get(), MakeErrorReply(id, ErrorCode::kOk)).ok());
+  });
+  auto reply = (*client)->Call(MakeLoadQuery(7));
+  peer.join();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->request_id, 7u);
+  EXPECT_EQ(unmatched.value() - before, 1);
+  EXPECT_TRUE((*client)->connected());
+  EXPECT_EQ((*client)->inflight(), 0u);
 }
 
 // A raw client in place of a TcpTransport, so a test can put arbitrary bytes

@@ -276,6 +276,51 @@ TEST(TierTest, CrashDropsTheColdTier) {
   EXPECT_EQ(*page, MakePage(950, 50));
 }
 
+// PAGEIN, PAGEIN_BATCH and MIGRATE write the page straight into the reply
+// payload, from whichever tier holds it: a zero-elided slot reads back as
+// zeroes and a cold slot decompresses into the payload.
+TEST(TierTest, WireReadsServeZeroAndColdSlots) {
+  MemoryServer server(TierParams(4));
+  auto zero_slot = server.Allocate(1);
+  ASSERT_TRUE(zero_slot.ok());
+  ASSERT_TRUE(server.Store(*zero_slot, PageBuffer().span()).ok());
+  const auto slots = StorePages(&server, 40, 1100, 50);
+  const TierOccupancy occ = server.tier_occupancy();
+  ASSERT_EQ(occ.zero_pages, 1u);
+  ASSERT_GE(occ.cold_pages, 30u);
+  uint64_t request_id = 0;
+
+  const Message zero = server.Handle(MakePageIn(++request_id, *zero_slot));
+  ASSERT_EQ(zero.status_code(), ErrorCode::kOk);
+  EXPECT_EQ(zero.slot, *zero_slot);
+  EXPECT_EQ(PageBuffer(std::span<const uint8_t>(zero.payload)), PageBuffer());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Message reply = server.Handle(MakePageIn(++request_id, slots[i]));
+    ASSERT_EQ(reply.status_code(), ErrorCode::kOk) << "slot " << slots[i];
+    ASSERT_EQ(reply.payload.size(), kPageSize);
+    EXPECT_EQ(PageBuffer(std::span<const uint8_t>(reply.payload)), MakePage(1100 + i, 50))
+        << "slot " << slots[i];
+  }
+
+  const uint64_t batch[3] = {slots[0], *zero_slot, slots[1]};
+  const Message batched = server.Handle(MakePageInBatch(++request_id, batch));
+  ASSERT_EQ(batched.status_code(), ErrorCode::kOk);
+  ASSERT_EQ(batched.payload.size(), 3 * kPageSize);
+  const std::span<const uint8_t> pages(batched.payload);
+  EXPECT_EQ(PageBuffer(pages.subspan(0, kPageSize)), MakePage(1100, 50));
+  EXPECT_EQ(PageBuffer(pages.subspan(kPageSize, kPageSize)), PageBuffer());
+  EXPECT_EQ(PageBuffer(pages.subspan(2 * kPageSize, kPageSize)), MakePage(1101, 50));
+
+  const Message migrated = server.Handle(MakeMigrate(++request_id, slots[2]));
+  ASSERT_EQ(migrated.status_code(), ErrorCode::kOk);
+  EXPECT_EQ(PageBuffer(std::span<const uint8_t>(migrated.payload)), MakePage(1102, 50));
+  EXPECT_FALSE(server.Holds(slots[2]));
+
+  const Message missing = server.Handle(MakePageIn(++request_id, slots[2]));
+  EXPECT_EQ(missing.status_code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(missing.payload.empty());
+}
+
 TEST(TierTest, StatsJsonCarriesTierGauges) {
   MemoryServer server(TierParams(8));
   StorePages(&server, 60, 1100, 50);
